@@ -8,13 +8,16 @@ its component and is legal only when every member has weight zero.
 
 Stability of a tree against weight data asks that every coincidence class
 has weight-sum <= 1 and every vertex has positive log degree
-2g_v - 2 + valence + sum of its marking weights.  Lowering the weights is
-realized combinatorially by `stabilize`, which repeatedly contracts the
-offending vertices: a valence-1 vertex is deleted and its markings merge
-into a single class at the attachment point, a valence-2 vertex is
-squeezed out by contracting one incident edge and its (weight-zero)
-markings land at the resulting node.  Marking labels are 1-based and are
-never relabeled.
+2g_v - 2 + valence + sum of its marking weights.  All tests run on one
+integer kernel: numerators over the weights' common denominator den, and
+valences from one pass over the edges; a class is bad iff its numerator
+sum exceeds den, a vertex iff (2g_v - 2 + valence) * den plus its sum is
+<= 0.  Lowering the weights is realized combinatorially by `stabilize`,
+which repeatedly contracts the offending vertices: a valence-1 vertex is
+deleted and its markings merge into a single class at the attachment
+point, a valence-2 vertex is squeezed out by contracting one incident edge
+and its (weight-zero) markings land at the resulting node.  Marking labels
+are 1-based and are never relabeled.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .errors import (DomainError, InternalInvariantError, LimitExceeded,
                      NonterminatingContraction, NotAStable,
                      ResidualDegreeNotPositive, UnequalWeightsInBlock,
                      WeightsNotDominated)
-from .weights import DEFAULT_ENUM_LIMIT, Mode, WeightData, validate
+from .weights import (DEFAULT_ENUM_LIMIT, Mode, WeightData, integer_scaled,
+                      validate)
 
-_ZERO = Fraction(0)
 WeightsLike = Union[WeightData, Mapping[int, Fraction]]
 
 
@@ -175,13 +178,33 @@ def _check_tree(tree: MarkedTree):
         raise DomainError("the dual graph must be connected")
 
 
-def _adjacency(tree: MarkedTree) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v.id: [] for v in tree.vertices}
+def _subtree_keys(tree: MarkedTree, what: str):
+    """Root, adjacency, vertex table and every subtree's key (genus, sorted
+    classes, sorted child keys), rooted at the smallest marking."""
+    if tree.betti != 0 or any(a == b for a, b in tree.edges):
+        raise DomainError(f"canonical {what} are defined for trees only")
+    lowest = min(tree.markings, default=None)
+    if lowest is None:
+        raise DomainError("canonical rooting needs at least one marking")
+    root = next(v.id for v in tree.vertices
+                if any(lowest in c.markings for c in v.classes))
+    by_id = {v.id: v for v in tree.vertices}
+    adj: dict[int, list[int]] = {vid: [] for vid in by_id}
     for a, b in tree.edges:
         adj[a].append(b)
-        if a != b:
-            adj[b].append(a)
-    return adj
+        adj[b].append(a)
+    keys = {}
+
+    def ser(vid, parent):
+        v = by_id[vid]
+        cls = tuple(sorted((tuple(sorted(c.markings)), c.node_supported)
+                           for c in v.classes))
+        kids = tuple(sorted(ser(u, vid) for u in adj[vid] if u != parent))
+        keys[vid] = (v.genus, cls, kids)
+        return keys[vid]
+
+    ser(root, None)
+    return root, adj, by_id, keys
 
 
 def canonical_key(tree: MarkedTree):
@@ -191,86 +214,55 @@ def canonical_key(tree: MarkedTree):
     so rooting at the vertex holding the smallest marking and sorting
     child serializations gives a complete isomorphism invariant.
     """
-    if tree.betti != 0 or any(a == b for a, b in tree.edges):
-        raise DomainError("canonical keys are defined for trees only")
-    root = _root_vertex(tree)
-    adj = _adjacency(tree)
-    by_id = {v.id: v for v in tree.vertices}
-
-    def ser(vid, parent):
-        v = by_id[vid]
-        cls = tuple(sorted((tuple(sorted(c.markings)), c.node_supported)
-                           for c in v.classes))
-        kids = tuple(sorted(ser(u, vid) for u in adj[vid] if u != parent))
-        return (v.genus, cls, kids)
-
-    return ser(root, None)
+    root, _, _, keys = _subtree_keys(tree, "keys")
+    return keys[root]
 
 
 def canonical_form(tree: MarkedTree) -> MarkedTree:
     """Isomorphic copy with vertex ids 1..k assigned in canonical order."""
-    if tree.betti != 0 or any(a == b for a, b in tree.edges):
-        raise DomainError("canonical forms are defined for trees only")
-    root = _root_vertex(tree)
-    adj = _adjacency(tree)
-    by_id = {v.id: v for v in tree.vertices}
-
-    def ser(vid, parent):
-        v = by_id[vid]
-        cls = tuple(sorted((tuple(sorted(c.markings)), c.node_supported)
-                           for c in v.classes))
-        kids = tuple(sorted(ser(u, vid) for u in adj[vid] if u != parent))
-        return (v.genus, cls, kids)
-
+    root, adj, by_id, keys = _subtree_keys(tree, "forms")
     new_vertices, new_edges = [], []
-    counter = [0]
 
     def walk(vid, parent):
-        counter[0] += 1
-        nid = counter[0]
+        nid = len(new_vertices) + 1
         v = by_id[vid]
         new_vertices.append((nid, v.genus, v.classes))
-        for _, u in sorted((ser(u, vid), u) for u in adj[vid] if u != parent):
-            cid = walk(u, vid)
-            new_edges.append((nid, cid))
+        for _, u in sorted((keys[u], u) for u in adj[vid] if u != parent):
+            new_edges.append((nid, walk(u, vid)))
         return nid
 
     walk(root, None)
     return marked_tree(new_vertices, new_edges)
 
 
-def _root_vertex(tree: MarkedTree) -> int:
-    marks = tree.markings
-    if not marks:
-        raise DomainError("canonical rooting needs at least one marking")
-    lowest = min(marks)
-    for v in tree.vertices:
-        if any(lowest in c.markings for c in v.classes):
-            return v.id
-    raise InternalInvariantError("lowest marking not found on any vertex")
+def _integer_weights(weights: WeightsLike) -> tuple[dict[int, int], int]:
+    return weights.scaled if isinstance(weights, WeightData) else \
+        integer_scaled({int(k): Fraction(v) for k, v in weights.items()})
 
 
-def _weight_map(weights: WeightsLike) -> dict[int, Fraction]:
-    if isinstance(weights, WeightData):
-        return weights.weight_map()
-    return {int(k): Fraction(v) for k, v in weights.items()}
+def _valences(vertex_ids: Iterable[int], edges) -> dict[int, int]:
+    """Every valence in one pass over the edges (self-loops count twice)."""
+    valence = dict.fromkeys(vertex_ids, 0)
+    for a, b in edges:
+        valence[a] += 1
+        valence[b] += 1
+    return valence
 
 
-def _check_marking_agreement(tree: MarkedTree, wmap: Mapping[int, Fraction]):
-    if tree.markings != frozenset(wmap):
-        raise DomainError(
-            f"tree markings {sorted(tree.markings)} do not match the weight "
-            f"indices {sorted(wmap)}")
+def _log_degree(genus: int, valence: int, weight: int, den: int) -> int:
+    """den times the log degree, for marking numerators summing to weight."""
+    return (2 * genus - 2 + valence) * den + weight
 
 
 def vertex_log_degree(tree: MarkedTree, vertex_id: int,
                       weights: WeightsLike) -> Fraction:
     """Degree of the log divisor on one component:
     2g_v - 2 + valence (self-loops twice) + sum of marking weights there."""
-    wmap = _weight_map(weights)
+    nums, den = _integer_weights(weights)
     v = tree.vertex(vertex_id)
-    total = sum((wmap[m] for c in v.classes for m in c.markings), _ZERO)
-    return Fraction(2 * v.genus - 2 + tree.valence(vertex_id)) + total
+    weight = sum(nums[m] for c in v.classes for m in c.markings)
+    return Fraction(_log_degree(v.genus, tree.valence(vertex_id), weight, den),
+                    den)
 
 
 @dataclass(frozen=True)
@@ -290,7 +282,8 @@ def is_stable(tree: MarkedTree, weights: WeightsLike,
 
     Stable means: every coincidence class has weight-sum <= 1, every
     node-supported class consists of weight-zero markings only, and every
-    vertex has positive log degree.  Trees built through `marked_tree` are
+    vertex has positive log degree.  It runs on the integer kernel; only
+    reported degrees are Fractions.  Trees built through `marked_tree` are
     already structurally validated.
     """
     if isinstance(weights, WeightData):
@@ -299,20 +292,29 @@ def is_stable(tree: MarkedTree, weights: WeightsLike,
             raise DomainError(
                 f"tree has arithmetic genus {tree.arithmetic_genus}, "
                 f"weight data has genus {weights.genus}")
-    wmap = _weight_map(weights)
-    _check_marking_agreement(tree, wmap)
+    return _stability(tree, *_integer_weights(weights))
 
+
+def _stability(tree: MarkedTree, nums: Mapping[int, int],
+               den: int) -> StabilityReport:
+    if tree.markings != frozenset(nums):
+        raise DomainError(
+            f"tree markings {sorted(tree.markings)} do not match the weight "
+            f"indices {sorted(nums)}")
+    valence = _valences(tree.vertex_ids, tree.edges)
     class_bad, node_bad, degree_bad = [], [], []
     for v in tree.vertices:
+        weight = 0
         for c in v.classes:
-            members = tuple(sorted(c.markings))
-            if sum((wmap[m] for m in c.markings), _ZERO) > 1:
-                class_bad.append((v.id, members))
-            if c.node_supported and any(wmap[m] > 0 for m in c.markings):
-                node_bad.append((v.id, members))
-        degree = vertex_log_degree(tree, v.id, wmap)
+            class_weight = sum(nums[m] for m in c.markings)
+            weight += class_weight
+            if class_weight > den:
+                class_bad.append((v.id, tuple(sorted(c.markings))))
+            if c.node_supported and any(nums[m] > 0 for m in c.markings):
+                node_bad.append((v.id, tuple(sorted(c.markings))))
+        degree = _log_degree(v.genus, valence[v.id], weight, den)
         if degree <= 0:
-            degree_bad.append((v.id, degree))
+            degree_bad.append((v.id, Fraction(degree, den)))
     return StabilityReport(
         stable=not (class_bad or node_bad or degree_bad),
         class_violations=tuple(class_bad),
@@ -339,13 +341,13 @@ class _Graph:
         self.edges = {i: tuple(e) for i, e in enumerate(tree.edges)}
         self._next_edge = len(tree.edges)
 
-    def valence(self, vid: int) -> int:
-        return sum((a == vid) + (b == vid) for a, b in self.edges.values())
-
-    def degree(self, vid: int, wmap) -> Fraction:
-        marked = sum((wmap[m] for cls, _, _ in self.classes[vid]
-                      for m in cls), _ZERO)
-        return Fraction(2 * self.genus[vid] - 2 + self.valence(vid)) + marked
+    def degrees(self, nums, den) -> dict[int, int]:
+        """den times the log degree of every vertex (the integer kernel)."""
+        valence = _valences(self.genus, self.edges.values())
+        return {vid: _log_degree(genus, valence[vid],
+                                 sum(nums[m] for cls, _, _ in self.classes[vid]
+                                     for m in cls), den)
+                for vid, genus in self.genus.items()}
 
     def add_edge(self, a: int, b: int) -> int:
         key = self._next_edge
@@ -373,8 +375,8 @@ class _Graph:
         return marked_tree(vertices, list(self.edges.values()))
 
 
-def _contract_vertex(graph: _Graph, vid: int, wmap):
-    valence = graph.valence(vid)
+def _contract_vertex(graph: _Graph, vid: int, nums):
+    valence = _valences(graph.genus, graph.edges.values())[vid]
     incident = [k for k, (a, b) in graph.edges.items() if vid in (a, b)]
     moved = set()
     for cls, _, _ in graph.classes[vid]:
@@ -395,7 +397,7 @@ def _contract_vertex(graph: _Graph, vid: int, wmap):
         # whatever already sat on either disappearing node.
         if graph.genus[vid] != 0:
             raise InternalInvariantError("contracting a positive-genus vertex")
-        if any(wmap[m] > 0 for m in moved):
+        if any(nums[m] > 0 for m in moved):
             raise InternalInvariantError(
                 "type II contraction moving positive weight")
         ends = []
@@ -418,14 +420,26 @@ def _contract_vertex(graph: _Graph, vid: int, wmap):
     del graph.genus[vid]
 
 
-def _contract_until_stable(graph: _Graph, wmap) -> None:
+def _contract_until_stable(graph: _Graph, nums, den) -> None:
     rounds = len(graph.genus) + 1
     for _ in range(rounds):
-        bad = sorted(v for v in graph.genus if graph.degree(v, wmap) <= 0)
+        bad = [v for v, d in graph.degrees(nums, den).items() if d <= 0]
         if not bad:
             return
-        _contract_vertex(graph, bad[0], wmap)
+        _contract_vertex(graph, min(bad), nums)
     raise NonterminatingContraction("contraction loop failed to terminate")
+
+
+def _reduction_pair(a: WeightData, b: WeightData, mode_a: Mode):
+    """Validate a (in mode_a) and b (zeros allowed), same genus and length,
+    with b <= a componentwise."""
+    a = validate(a.genus, a.weights, mode_a)
+    b = validate(b.genus, b.weights, Mode.ZERO_ALLOWED)
+    if (a.genus, a.n) != (b.genus, b.n):
+        raise DomainError("weight data have different genus or length")
+    if any(bw > aw for aw, bw in zip(a.weights, b.weights)):
+        raise WeightsNotDominated("target weights exceed the source weights")
+    return a, b
 
 
 def stabilize(tree: MarkedTree, a: WeightData, b: WeightData) -> MarkedTree:
@@ -436,21 +450,15 @@ def stabilize(tree: MarkedTree, a: WeightData, b: WeightData) -> MarkedTree:
     weights as long as 2g-2+sum(b) stays positive; zero-weight markings
     are retained.
     """
-    a = validate(a.genus, a.weights, Mode.ZERO_ALLOWED)
-    b = validate(b.genus, b.weights, Mode.ZERO_ALLOWED)
-    if (a.genus, a.n) != (b.genus, b.n):
-        raise DomainError("weight data have different genus or length")
-    if any(bw > aw for aw, bw in zip(a.weights, b.weights)):
-        raise WeightsNotDominated("target weights exceed the source weights")
+    a, b = _reduction_pair(a, b, Mode.ZERO_ALLOWED)
     report = is_stable(tree, a, Mode.ZERO_ALLOWED)
     if not report:
         raise NotAStable(f"input tree is not stable for the source weights: "
                          f"{report}")
     graph = _Graph(tree)
-    wmap = b.weight_map()
-    _contract_until_stable(graph, wmap)
+    _contract_until_stable(graph, *b.scaled)
     result = graph.freeze()
-    if not is_stable(result, b, Mode.ZERO_ALLOWED):
+    if not _stability(result, *b.scaled):
         raise InternalInvariantError("contraction did not reach stability")
     return result
 
@@ -460,28 +468,24 @@ def forget(tree: MarkedTree, a: WeightData, keep: Iterable[int]) -> MarkedTree:
     the kept weights.  Labels are preserved verbatim."""
     a = validate(a.genus, a.weights, Mode.ZERO_ALLOWED)
     kept = sorted(set(int(k) for k in keep))
-    full = a.weight_map()
+    full, den = a.scaled
     if not kept or any(k not in full for k in kept):
         raise DomainError("keep must be a nonempty subset of the marking indices")
     if not is_stable(tree, a, Mode.ZERO_ALLOWED):
         raise NotAStable("input tree is not stable for the source weights")
-    wmap = {k: full[k] for k in kept}
-    residual = 2 * a.genus - 2 + sum(wmap.values(), _ZERO)
+    nums = {k: full[k] for k in kept}
+    residual = _log_degree(a.genus, 0, sum(nums.values()), den)
     if residual <= 0:
         raise ResidualDegreeNotPositive(
-            f"2g-2+sum over kept weights = {residual} <= 0")
+            f"2g-2+sum over kept weights = {Fraction(residual, den)} <= 0")
     graph = _Graph(tree)
     kept_set = set(kept)
-    for vid in list(graph.classes):
-        pruned = []
-        for cls, ns, key in graph.classes[vid]:
-            cls = cls & kept_set
-            if cls:
-                pruned.append((cls, ns, key))
-        graph.classes[vid] = pruned
-    _contract_until_stable(graph, wmap)
+    for vid, classes in graph.classes.items():
+        graph.classes[vid] = [(cls & kept_set, ns, key)
+                              for cls, ns, key in classes if cls & kept_set]
+    _contract_until_stable(graph, nums, den)
     result = graph.freeze()
-    if not is_stable(result, wmap):
+    if not _stability(result, nums, den):
         raise InternalInvariantError("forgetting did not reach stability")
     return result
 
@@ -494,47 +498,52 @@ class Stratum:
 
 def _degenerations(tree: MarkedTree, data: WeightData):
     """One-step degenerations: merge two classes at a vertex, or split a
-    vertex into two joined by a new edge."""
-    by_id = {v.id: v for v in tree.vertices}
+    vertex into two joined by a new edge.  Candidates that cannot be stable
+    when `tree` is are skipped unbuilt: a merge within the class bound
+    changes no log degree, and a split changes only its two halves'.  So a
+    stable tree yields exactly its stable degenerations."""
+    nums, den = data.scaled
+    valence = _valences(tree.vertex_ids, tree.edges)
+    weights = {v.id: [sum(nums[m] for m in c.markings) for c in v.classes]
+               for v in tree.vertices}
     # class merges
     for v in tree.vertices:
         for i, j in combinations(range(len(v.classes)), 2):
-            merged_markings = v.classes[i].markings | v.classes[j].markings
-            if data.subset_sum(merged_markings) > 1:
+            if weights[v.id][i] + weights[v.id][j] > den:
                 continue
             classes = [c for k, c in enumerate(v.classes) if k not in (i, j)]
-            classes.append(MarkClass(frozenset(merged_markings), False))
+            classes.append(MarkClass(
+                v.classes[i].markings | v.classes[j].markings, False))
             vertices = [(u.id, u.genus,
                          classes if u.id == v.id else list(u.classes))
                         for u in tree.vertices]
             yield marked_tree(vertices, tree.edges)
-    # vertex splits
-    new_id = max(by_id) + 1
+    # vertex splits; v's parts (classes, then incident edges) each carry a
+    # share of den * log degree to the new side
+    new_id = max(valence) + 1
     for v in tree.vertices:
-        incident = [i for i, (x, y) in enumerate(tree.edges) if v.id in (x, y)]
-        parts = [("class", k) for k in range(len(v.classes))]
-        parts += [("edge", i) for i in incident]
-        if len(parts) < 2:
-            continue
+        incident = [i for i, e in enumerate(tree.edges) if v.id in e]
+        shares = weights[v.id] + [den] * len(incident)
+        degree = _log_degree(v.genus, valence[v.id], sum(weights[v.id]), den)
         # part 0 pinned to the surviving side; swapping sides is an
         # isomorphism, so this halves the enumeration without loss
-        for mask in range(1, 1 << (len(parts) - 1)):
-            side2 = {parts[k + 1] for k in range(len(parts) - 1)
-                     if mask >> k & 1}
-            classes1, classes2 = [], []
-            for k, c in enumerate(v.classes):
-                (classes2 if ("class", k) in side2 else classes1).append(c)
-            edges = []
-            for i, (x, y) in enumerate(tree.edges):
-                if i in incident and ("edge", i) in side2:
-                    edges.append((new_id, y if x == v.id else x))
-                else:
-                    edges.append((x, y))
+        for mask in range(2, 1 << len(shares), 2):
+            side = [mask >> p & 1 for p in range(len(shares))]
+            moved = sum(share for share, s in zip(shares, side) if s)
+            # new vertex: moved - den, rest of v: degree - moved + den
+            if not den < moved < degree + den:
+                continue
+            classes = ([], [])
+            for c, s in zip(v.classes, side):
+                classes[s].append(c)
+            away = {i for i, s in zip(incident, side[len(v.classes):]) if s}
+            edges = [(new_id, y if x == v.id else x) if i in away else (x, y)
+                     for i, (x, y) in enumerate(tree.edges)]
             edges.append((v.id, new_id))
             vertices = [(u.id, u.genus,
-                         classes1 if u.id == v.id else list(u.classes))
+                         classes[0] if u.id == v.id else list(u.classes))
                         for u in tree.vertices]
-            vertices.append((new_id, 0, classes2))
+            vertices.append((new_id, 0, classes[1]))
             yield marked_tree(vertices, edges)
 
 
@@ -550,16 +559,15 @@ def enumerate_strata(data: WeightData, max_codim: int, *,
         raise LimitExceeded(f"n = {data.n} exceeds the enumeration limit {cap}")
     root = marked_tree(
         [(1, 0, [mark_class([m]) for m in range(1, data.n + 1)])], [])
-    if not is_stable(root, data):
+    if not _stability(root, *data.scaled):
         raise InternalInvariantError("the open stratum is always stable")
     strata = [Stratum(root, 0)]
     level = {canonical_key(root): root}
     for codim in range(1, max_codim + 1):
         nxt: dict = {}
         for tree in level.values():
+            # every tree in `level` is stable, so each candidate is too
             for candidate in _degenerations(tree, data):
-                if not is_stable(candidate, data):
-                    continue
                 key = canonical_key(candidate)
                 if key not in nxt:
                     nxt[key] = canonical_form(candidate)
@@ -628,12 +636,7 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
     |I| > 2 (with the factorization weights (b_j..., b_I) reported) and
     turns into the coincidence divisor of the pair when |I| = 2.
     """
-    a = validate(a.genus, a.weights, Mode.STRICT)
-    b = validate(b.genus, b.weights, Mode.ZERO_ALLOWED)
-    if (a.genus, a.n) != (b.genus, b.n):
-        raise DomainError("weight data have different genus or length")
-    if any(bw > aw for aw, bw in zip(a.weights, b.weights)):
-        raise WeightsNotDominated("target weights exceed the source weights")
+    a, b = _reduction_pair(a, b, Mode.STRICT)
     fates = []
     for divisor in boundary_divisors(a):
         if divisor.kind == DivisorKind.COINCIDENCE:
@@ -663,12 +666,7 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
 
 def is_reduction_iso(a: WeightData, b: WeightData) -> bool:
     """True iff every subset crossing the sum-1 threshold has size 2."""
-    a = validate(a.genus, a.weights, Mode.STRICT)
-    b = validate(b.genus, b.weights, Mode.ZERO_ALLOWED)
-    if (a.genus, a.n) != (b.genus, b.n):
-        raise DomainError("weight data have different genus or length")
-    if any(bw > aw for aw, bw in zip(a.weights, b.weights)):
-        raise WeightsNotDominated("target weights exceed the source weights")
+    a, b = _reduction_pair(a, b, Mode.STRICT)
     for size in range(3, a.n + 1):
         for subset in combinations(range(1, a.n + 1), size):
             if a.subset_sum(subset) > 1 and b.subset_sum(subset) <= 1:

@@ -84,7 +84,7 @@ def parse_tag(tag: str, n: int) -> NamedFamily:
     tag = tag.strip()
     if tag == "LM":
         return losev_manin(n)
-    for kind, builder in (("W", None), ("X", None), ("Y", None)):
+    for kind in ("W", "X", "Y"):
         if tag.startswith(kind + "(") and tag.endswith(")"):
             body = tag[2:-1]
             parts = [p.strip() for p in body.split(",")]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import DimensionMismatch, InternalInvariantError
+from .errors import DimensionMismatch, DomainError, InternalInvariantError
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -35,8 +35,11 @@ RELATIONS = (LESS, AT_MOST, EQUAL)
 def rat(value: RationalLike) -> Fraction:
     """Parse a rational from an int, a Fraction, or a "p/q" string.
 
-    Floats are rejected on purpose: exactness is the contract.
+    Floats are rejected on purpose: exactness is the contract.  So are
+    bools, which Python would otherwise read as the integers 0 and 1.
     """
+    if isinstance(value, bool):
+        raise DomainError(f"a bool is not a rational: {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -114,8 +117,10 @@ class ConstraintSystem:
 # Inequality rows are (coeffs, bound, strict) meaning coeffs . x < bound
 # when strict, <= bound otherwise.  Rows are scaled to integer coefficients
 # on entry (positive scaling preserves the solution set exactly), so the
-# elimination loop runs on machine integers; Fractions reappear only for
-# bounds of derived rows and during back-substitution.
+# coefficients stay integers throughout elimination.  Bounds do not:
+# `_prune` divides each row by the gcd of its coefficients and keeps the
+# bound as a Fraction, so derived rows carry Fraction bounds, and
+# back-substitution works in Fractions as well.
 _ZERO = Fraction(0)
 
 

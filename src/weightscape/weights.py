@@ -10,12 +10,14 @@ chambers are the feasible all-strict sign assignments over the wall set.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Optional
+from math import lcm
+from typing import Iterable, Mapping, Optional
 
 from . import jsonio
 from .errors import (BoundarySumMismatch, DegreeNotPositive, DomainError,
@@ -58,6 +60,12 @@ class WeightData:
     def subset_sum(self, subset: Iterable[int]) -> Fraction:
         return sum((self.weights[i - 1] for i in subset), _ZERO)
 
+    @cached_property
+    def scaled(self) -> tuple[dict[int, int], int]:
+        """`integer_scaled` of the weights, computed once per datum; the
+        dict is shared by every caller, so it is read only."""
+        return integer_scaled(self.weight_map())
+
     def to_json_dict(self) -> dict:
         return {"genus": self.genus, "weights": [rat_str(w) for w in self.weights]}
 
@@ -67,13 +75,21 @@ class WeightData:
                         mode or Mode.ZERO_ALLOWED)
 
 
+def integer_scaled(weights: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """(nums, den) with weights[m] == nums[m] / den exactly, den the least
+    common denominator: subset-sum and degree tests then compare integers."""
+    den = lcm(*(w.denominator for w in weights.values()))
+    return {m: w.numerator * (den // w.denominator)
+            for m, w in weights.items()}, den
+
+
 def validate(genus, weights, mode: Mode = Mode.STRICT) -> WeightData:
     """Check the domain conditions for the given mode and build a WeightData.
 
     Raises WeightOutOfRange (with the offending index), DegreeNotPositive
     when 2g-2+sum <= 0, or BoundarySumMismatch in BOUNDARY mode.
     """
-    if not isinstance(genus, int) or genus < 0:
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
         raise DomainError(f"genus must be a nonnegative integer, got {genus!r}")
     ws = tuple(rat(w) for w in weights)
     if not ws:
@@ -330,8 +346,17 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         payload = _chambers_payload(genus, n, granularity, wall_list, result)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(jsonio.canonical_dumps(payload))
+        # write a temp file private to this thread in the same directory,
+        # then rename it over the entry: readers see the old file or the
+        # whole new one, never a part
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="ascii") as fh:
+                fh.write(jsonio.canonical_dumps(payload))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return result
 
 

@@ -7,7 +7,8 @@ from itertools import combinations, permutations
 import pytest
 
 import weightscape as ws
-from weightscape.curves import _degenerations
+from weightscape.curves import MarkClass, Stratum, _degenerations
+from weightscape.weights import Mode
 
 
 def rand_weight(rng, max_den=10):
@@ -153,6 +154,100 @@ def permute_sign_vector(vec, perm, n):
         pre = frozenset(inverse[j] for j in s)
         out.append(vec.positions[index_of[pre]])
     return tuple(out)
+
+
+def fraction_is_stable(tree, weights, mode=Mode.STRICT):
+    """Slow stability oracle: per-vertex Fraction sums and valences, the
+    definition read literally.  Same report as `is_stable`."""
+    if isinstance(weights, ws.WeightData):
+        ws.validate(weights.genus, weights.weights, mode)
+        if tree.arithmetic_genus != weights.genus:
+            raise ws.DomainError("tree and weight data differ in genus")
+        wmap = weights.weight_map()
+    else:
+        wmap = {int(k): Fraction(v) for k, v in weights.items()}
+    if tree.markings != frozenset(wmap):
+        raise ws.DomainError("tree markings do not match the weight indices")
+    class_bad, node_bad, degree_bad = [], [], []
+    for v in tree.vertices:
+        for c in v.classes:
+            members = tuple(sorted(c.markings))
+            if sum((wmap[m] for m in c.markings), Fraction(0)) > 1:
+                class_bad.append((v.id, members))
+            if c.node_supported and any(wmap[m] > 0 for m in c.markings):
+                node_bad.append((v.id, members))
+        degree = fraction_log_degree(tree, v.id, wmap)
+        if degree <= 0:
+            degree_bad.append((v.id, degree))
+    return ws.StabilityReport(
+        stable=not (class_bad or node_bad or degree_bad),
+        class_violations=tuple(class_bad),
+        degree_violations=tuple(degree_bad),
+        node_support_violations=tuple(node_bad))
+
+
+def fraction_log_degree(tree, vid, wmap):
+    v = tree.vertex(vid)
+    valence = sum((a == vid) + (b == vid) for a, b in tree.edges)
+    marked = sum((wmap[m] for c in v.classes for m in c.markings), Fraction(0))
+    return Fraction(2 * v.genus - 2 + valence) + marked
+
+
+def unpruned_degenerations(tree, data):
+    """Every one-step degeneration, stable or not, built in the order
+    `_degenerations` yields its (stable) candidates."""
+    for v in tree.vertices:
+        for i, j in combinations(range(len(v.classes)), 2):
+            merged = v.classes[i].markings | v.classes[j].markings
+            if data.subset_sum(merged) > 1:
+                continue
+            classes = [c for k, c in enumerate(v.classes) if k not in (i, j)]
+            classes.append(MarkClass(frozenset(merged), False))
+            yield ws.marked_tree(
+                [(u.id, u.genus, classes if u.id == v.id else list(u.classes))
+                 for u in tree.vertices], tree.edges)
+    new_id = max(tree.vertex_ids) + 1
+    for v in tree.vertices:
+        incident = [i for i, (x, y) in enumerate(tree.edges)
+                    if v.id in (x, y)]
+        parts = [("class", k) for k in range(len(v.classes))]
+        parts += [("edge", i) for i in incident]
+        for mask in range(1, 1 << max(len(parts) - 1, 0)):
+            side2 = {parts[k + 1] for k in range(len(parts) - 1)
+                     if mask >> k & 1}
+            classes1 = [c for k, c in enumerate(v.classes)
+                        if ("class", k) not in side2]
+            classes2 = [c for k, c in enumerate(v.classes)
+                        if ("class", k) in side2]
+            edges = [(new_id, y if x == v.id else x)
+                     if ("edge", i) in side2 else (x, y)
+                     for i, (x, y) in enumerate(tree.edges)]
+            edges.append((v.id, new_id))
+            vertices = [(u.id, u.genus,
+                         classes1 if u.id == v.id else list(u.classes))
+                        for u in tree.vertices]
+            vertices.append((new_id, 0, classes2))
+            yield ws.marked_tree(vertices, edges)
+
+
+def unpruned_strata(data, max_codim):
+    """Breadth-first stratum enumeration that builds every degeneration
+    and keeps those the Fraction oracle calls stable."""
+    root = ws.marked_tree([(1, 0, [[m] for m in range(1, data.n + 1)])], [])
+    strata = [Stratum(root, 0)]
+    level = {ws.canonical_key(root): root}
+    for codim in range(1, max_codim + 1):
+        nxt = {}
+        for tree in level.values():
+            for candidate in unpruned_degenerations(tree, data):
+                key = ws.canonical_key(candidate)
+                if fraction_is_stable(candidate, data) and key not in nxt:
+                    nxt[key] = ws.canonical_form(candidate)
+        level = nxt
+        strata.extend(Stratum(t, codim) for _, t in sorted(level.items()))
+        if not level:
+            break
+    return tuple(strata)
 
 
 @pytest.fixture

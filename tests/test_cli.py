@@ -41,6 +41,13 @@ def test_validate_failure_exit_code():
     assert code == 1 and "2g-2" in err
 
 
+def test_bool_weight_data_exit_code():
+    for payload in ('{"genus":true,"weights":["1","1","1"]}',
+                    '{"genus":0,"weights":[true,"1","1"]}'):
+        code, out, err = invoke(["validate", "--weights", payload, "--json"])
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_unknown_subcommand():
     code, _, err = invoke(["no-such-command"])
     assert code == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightscape.errors import DimensionMismatch
+from weightscape.errors import DimensionMismatch, DomainError
 from weightscape.ratcore import (ConstraintSystem, LinearConstraint,
                                  find_interior_point, is_feasible, rat,
                                  rat_str)
@@ -22,6 +22,9 @@ def test_rat_parsing_and_serialization():
     assert rat_str(Fraction(-2, 4)) == "-1/2"
     with pytest.raises(TypeError):
         rat(0.5)
+    for flag in (True, False):
+        with pytest.raises(DomainError):
+            rat(flag)
 
 
 def test_open_unit_interval_feasible():

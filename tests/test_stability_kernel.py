@@ -1,0 +1,165 @@
+"""The integer stability kernel against the Fraction oracle kept in
+conftest, and stratum generation against the unpruned breadth-first
+search."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import weightscape as ws
+from weightscape.curves import MarkClass, _degenerations
+from weightscape.errors import DomainError
+from weightscape.weights import Mode
+
+from conftest import (fraction_is_stable, fraction_log_degree,
+                      random_stable_tree, random_weight_data,
+                      unpruned_degenerations, unpruned_strata)
+
+F = Fraction
+
+
+def _rebuild(tree, genus=None, classes=None, extra_vertices=(), edges=None):
+    genus = genus or {}
+    classes = classes or {}
+    vertices = [(v.id, genus.get(v.id, v.genus),
+                 classes.get(v.id, list(v.classes))) for v in tree.vertices]
+    return ws.marked_tree(vertices + list(extra_vertices),
+                          tree.edges if edges is None else edges)
+
+
+def _mutate(rng, tree):
+    """A random, usually unstable, variation of a stable tree: markings
+    moved or merged, an unmarked leaf or a self-loop added, a genus
+    raised, or classes flagged as node-supported."""
+    kind = rng.choice(["move", "merge", "leaf", "loop", "genus", "node"])
+    vertices = list(tree.vertices)
+    v = rng.choice(vertices)
+    if kind == "move" and v.classes:
+        c = rng.choice(v.classes)
+        target = rng.choice(vertices)
+        moved = {v.id: [d for d in v.classes if d is not c]}
+        moved[target.id] = moved.get(target.id, list(target.classes)) + [c]
+        return _rebuild(tree, classes=moved)
+    if kind == "merge" and len(v.classes) >= 2:
+        a, b = rng.sample(range(len(v.classes)), 2)
+        rest = [c for k, c in enumerate(v.classes) if k not in (a, b)]
+        merged = MarkClass(v.classes[a].markings | v.classes[b].markings)
+        return _rebuild(tree, classes={v.id: rest + [merged]})
+    if kind == "leaf":
+        new_id = max(tree.vertex_ids) + 1
+        return _rebuild(tree, extra_vertices=[(new_id, 0, [])],
+                        edges=list(tree.edges) + [(v.id, new_id)])
+    if kind == "loop":
+        return _rebuild(tree, edges=list(tree.edges) + [(v.id, v.id)])
+    if kind == "genus":
+        return _rebuild(tree, genus={v.id: v.genus + rng.randint(1, 2)})
+    flagged = {u.id: [MarkClass(c.markings, rng.random() < 0.5)
+                      for c in u.classes] for u in vertices}
+    return _rebuild(tree, classes=flagged)
+
+
+def _dict_weights(rng, data):
+    """Weight dict with some weights zeroed and the rest kept or rescaled
+    (left unvalidated, as dict weights are)."""
+    out = {}
+    for m, w in data.weight_map().items():
+        roll = rng.random()
+        out[m] = F(0) if roll < 0.25 else w * F(rng.randint(1, 6), 3) \
+            if roll < 0.5 else w
+    return out
+
+
+def _assert_same(tree, weights, mode=Mode.STRICT):
+    try:
+        expected = fraction_is_stable(tree, weights, mode)
+    except DomainError:
+        with pytest.raises(DomainError):
+            ws.is_stable(tree, weights, mode)
+        return
+    report = ws.is_stable(tree, weights, mode)
+    assert report == expected
+    assert all(type(d) is Fraction for _, d in report.degree_violations)
+    wmap = weights.weight_map() if isinstance(weights, ws.WeightData) \
+        else weights
+    for v in tree.vertices:
+        degree = ws.vertex_log_degree(tree, v.id, weights)
+        assert type(degree) is Fraction
+        assert degree == fraction_log_degree(tree, v.id, wmap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7))
+def test_is_stable_matches_fraction_oracle(seed, n):
+    rng = random.Random(seed)
+    data = random_weight_data(rng, n)
+    tree = random_stable_tree(rng, data)
+    assert ws.is_stable(tree, data)
+    _assert_same(tree, data)
+    mutated = _mutate(rng, tree)
+    _assert_same(mutated, data)
+    _assert_same(mutated, data, Mode.ZERO_ALLOWED)
+    weights = _dict_weights(rng, data)
+    _assert_same(tree, weights)
+    _assert_same(mutated, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 7))
+def test_node_supported_classes_match_oracle(seed, n):
+    """Zero-weight data in ZERO_ALLOWED mode with node-supported classes,
+    as `stabilize` produces them."""
+    rng = random.Random(seed)
+    a = ws.validate(0, [1] * n)
+    zeros = rng.sample(range(n), rng.randint(1, n - 3))
+    b = ws.validate(0, [0 if i in zeros else 1 for i in range(n)],
+                    Mode.ZERO_ALLOWED)
+    tree = random_stable_tree(rng, a)
+    reduced = ws.stabilize(tree, a, b)
+    _assert_same(reduced, b, Mode.ZERO_ALLOWED)
+    _assert_same(reduced, b.weight_map())
+    flagged = _rebuild(reduced, classes={
+        v.id: [MarkClass(c.markings, rng.random() < 0.5) for c in v.classes]
+        for v in reduced.vertices})
+    _assert_same(flagged, b, Mode.ZERO_ALLOWED)
+
+
+def test_dict_weights_accept_rational_strings():
+    tree = ws.marked_tree([(1, 0, [[1], [2]]), (2, 0, [[3], [4]])], [(1, 2)])
+    weights = {1: "1", 2: "1", 3: "1/2", 4: "1/2"}
+    assert ws.is_stable(tree, weights) == fraction_is_stable(tree, weights)
+    assert ws.is_stable(tree, weights).degree_violations == ((2, F(0)),)
+
+
+def test_degenerations_yield_exactly_the_stable_candidates():
+    """From a stable tree the pruned generator yields the same stable
+    candidates, in the same order, as building every candidate."""
+    rng = random.Random(31)
+    for trial in range(40):
+        data = random_weight_data(rng, 4 + trial % 4)
+        tree = random_stable_tree(rng, data)
+        pruned = list(_degenerations(tree, data))
+        full = [c for c in unpruned_degenerations(tree, data)
+                if fraction_is_stable(c, data)]
+        assert pruned == full
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_enumerate_strata_matches_unpruned_search(n):
+    rng = random.Random(400 + n)
+    for _ in range(4):
+        data = random_weight_data(rng, n)
+        assert ws.enumerate_strata(data, n - 3) == \
+            unpruned_strata(data, n - 3)
+    unit = ws.validate(0, [1] * n)
+    assert ws.enumerate_strata(unit, n - 3) == unpruned_strata(unit, n - 3)
+
+
+def test_unit_weight_counts_follow_oeis_a000311():
+    # A000311(n-1): Schroeder's fourth problem, the number of boundary
+    # strata of the Deligne-Mumford space of n-pointed genus-0 curves
+    expected = {3: 1, 4: 4, 5: 26, 6: 236, 7: 2752}
+    for n, count in expected.items():
+        assert len(ws.enumerate_strata(ws.validate(0, [1] * n), n - 3)) \
+            == count

@@ -44,6 +44,15 @@ class TestValidate:
     def test_genus_contributes_degree(self):
         ws.validate(2, [F(1, 10)])  # 2g-2 = 2 > 0 regardless of the weight
 
+    def test_bool_rejected(self):
+        # bool is an int subclass; accepted, True would serialize as "true"
+        with pytest.raises(DomainError):
+            ws.validate(True, [1, 1, 1])
+        with pytest.raises(DomainError):
+            ws.validate(0, [True, 1, 1])
+        with pytest.raises(DomainError):
+            ws.validate(0, [1, 1, 1, False], Mode.ZERO_ALLOWED)
+
 
 class TestWalls:
     def test_fine_n5_counts(self):
@@ -155,6 +164,28 @@ class TestEnumerateChambers:
         monkeypatch.setenv("WEIGHTSCAPE_CACHE", str(tmp_path))
         ws.enumerate_chambers(0, 4, FINE)
         assert (tmp_path / "chambers-g0-n4-fine.json").exists()
+
+    def test_corrupt_cache_replaced_without_leftovers(self, tmp_path):
+        path = tmp_path / "chambers-g0-n4-fine.json"
+        path.write_text("{not json")
+        chambers = ws.enumerate_chambers(0, 4, FINE, cache_dir=str(tmp_path))
+        from weightscape.weights import chambers_json
+        assert path.read_text() == chambers_json(0, 4, FINE, chambers)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_failed_cache_write_keeps_old_entry(self, tmp_path, monkeypatch):
+        from weightscape import jsonio
+        path = tmp_path / "chambers-g0-n4-fine.json"
+        path.write_text("{not json")
+
+        def broken(payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(jsonio, "canonical_dumps", broken)
+        with pytest.raises(OSError):
+            ws.enumerate_chambers(0, 4, FINE, cache_dir=str(tmp_path))
+        assert path.read_text() == "{not json"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         cache = str(tmp_path)
