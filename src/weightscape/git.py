@@ -18,8 +18,9 @@ from typing import Iterable
 
 from .errors import (AtypicalLinearization, DomainError, DomainViolation,
                      InternalInvariantError)
-from .ratcore import rat, rat_str
-from .weights import Granularity, Mode, WeightData, locate, validate
+from .ratcore import rat_str
+from .weights import (Granularity, Mode, WeightData, locate, rationals,
+                      validate)
 
 _ONE = Fraction(1)
 _TWO = Fraction(2)
@@ -34,7 +35,7 @@ class Linearization:
 
     @classmethod
     def make(cls, values: Iterable) -> "Linearization":
-        return cls(tuple(rat(v) for v in values))
+        return cls(rationals(values, "t"))
 
     @property
     def n(self) -> int:

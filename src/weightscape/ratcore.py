@@ -6,19 +6,22 @@ appear.  Rationals serialize as "p/q" in lowest terms, or "p" when the
 denominator is 1 -- which is precisely `str(Fraction)`.
 
 Feasibility of a system of strict/non-strict linear inequalities and
-equalities is decided by Fourier-Motzkin elimination: equalities are
-rewritten as substitutions first, then the remaining variables are
-eliminated in index order, propagating a strictness flag (the sum of a
-strict and a non-strict bound is strict).  Redundant rows are pruned by
-pairwise dominance among parallel constraints only.  Interior points are
+equalities is decided by Fourier-Motzkin elimination on integer rows,
+with `Fraction` only at the edges: equalities are rewritten as
+substitutions first, then the remaining variables are eliminated in index
+order, propagating a strictness flag (the sum of a strict and a
+non-strict bound is strict).  Redundant rows are pruned by pairwise
+dominance among parallel constraints only.  Interior points are
 reconstructed deterministically by back-substitution through the
-elimination order, taking the midpoint of each feasible interval.
+elimination order, taking the midpoint of each feasible interval; without
+equalities a point depends on the solution set only, not on its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, DomainError, InternalInvariantError
@@ -115,19 +118,15 @@ class ConstraintSystem:
 
 
 # Inequality rows are (coeffs, bound, strict) meaning coeffs . x < bound
-# when strict, <= bound otherwise.  Rows are scaled to integer coefficients
-# on entry (positive scaling preserves the solution set exactly), so the
-# coefficients stay integers throughout elimination.  Bounds do not:
-# `_prune` divides each row by the gcd of its coefficients and keeps the
-# bound as a Fraction, so derived rows carry Fraction bounds, and
-# back-substitution works in Fractions as well.
+# when strict, <= bound otherwise.  Coefficients and bound are integers
+# throughout: rows are scaled to integers on entry, and every later row is
+# a positive integer combination of earlier ones divided by a positive
+# gcd.  Positive scaling preserves each row's solution set exactly.
 _ZERO = Fraction(0)
 
 
 def _int_scaled(coeffs, const):
-    from math import lcm
-    denoms = [c.denominator for c in coeffs] + [const.denominator]
-    scale = lcm(*denoms)
+    scale = lcm(const.denominator, *(c.denominator for c in coeffs))
     return tuple(int(c * scale) for c in coeffs), int(const * scale)
 
 
@@ -177,25 +176,30 @@ def _apply_equalities(ineqs, eqs):
 
 
 def _prune(rows):
-    """Drop satisfied variable-free rows, keep the tightest of parallel rows.
-
-    Returns None when a variable-free row is violated (system infeasible).
-    """
-    from math import gcd
+    """Drop satisfied variable-free rows, keep the tightest of parallel rows
+    (bounds compared by cross-multiplying); None when a variable-free row
+    is violated.  Each row is divided by the gcd of its entries."""
     kept: dict[tuple[int, ...], tuple] = {}
     for coeffs, bound, strict in rows:
-        lead = next((i for i, c in enumerate(coeffs) if c != 0), None)
-        if lead is None:
+        scale = gcd(*coeffs)
+        if scale == 0:
             if bound < 0 or (strict and bound == 0):
                 return None
             continue
-        scale = gcd(*(abs(c) for c in coeffs if c))
-        key = tuple(c // scale for c in coeffs)
-        nb = Fraction(bound, scale)
+        common = gcd(scale, bound)
+        if common > 1:
+            coeffs = tuple([c // common for c in coeffs])
+            bound //= common
+            scale //= common
+        # coeffs == scale * key, so the row reads key . x REL bound / scale
+        key = coeffs if scale == 1 else tuple([c // scale for c in coeffs])
         prev = kept.get(key)
-        if prev is None or nb < prev[0] or (nb == prev[0] and strict and not prev[1]):
-            kept[key] = (nb, strict)
-    return [(key, b, s) for key, (b, s) in kept.items()]
+        if prev is not None:
+            mine, theirs = bound * prev[3], prev[1] * scale
+            if mine > theirs or (mine == theirs and (prev[2] or not strict)):
+                continue
+        kept[key] = (coeffs, bound, strict, scale)
+    return [row[:3] for row in kept.values()]
 
 
 def _eliminate(rows, var):
@@ -211,9 +215,12 @@ def _eliminate(rows, var):
     out = rest
     for uc, ub, us in uppers:
         for lc, lb, ls in lowers:
-            mu = -lc[var]
-            ml = uc[var]
-            coeffs = tuple(mu * u + ml * lv for u, lv in zip(uc, lc))
+            mu, ml = -lc[var], uc[var]
+            common = gcd(mu, ml)
+            if common > 1:
+                mu //= common
+                ml //= common
+            coeffs = tuple([mu * u + ml * lv for u, lv in zip(uc, lc)])
             out.append((coeffs, mu * ub + ml * lb, us or ls))
     return out
 
@@ -263,32 +270,42 @@ def _solve(system: ConstraintSystem, want_point: bool):
 
 
 def _pick_value(var, rows, values):
-    lower = upper = None  # (bound, strict)
+    """Midpoint of the interval the staged rows leave for x_var once the
+    later variables are fixed; one Fraction is built, for the result.
+
+    A row bounds x_var by (bound * den - coeffs . nums) / (c_var * den),
+    with nums / den the fixed values over their common denominator; every
+    limit is kept as an integer over d = den * lcm of the c_var.
+    """
+    den = lcm(*(v.denominator for v in values if v is not None))
+    nums = [0 if v is None else v.numerator * (den // v.denominator)
+            for v in values]
+    limits = []
     for coeffs, bound, strict in rows:
         cv = coeffs[var]
-        if cv == 0:
-            continue
-        acc = Fraction(bound)
-        for i, c in enumerate(coeffs):
-            if i != var and c != 0:
-                acc -= c * values[i]
-        limit = acc / cv
-        if cv > 0:
-            if upper is None or limit < upper[0] or (limit == upper[0] and strict):
-                upper = (limit, strict)
-        else:
-            if lower is None or limit > lower[0] or (limit == lower[0] and strict):
-                lower = (limit, strict)
+        if cv:
+            acc = bound * den
+            for c, x in zip(coeffs, nums):
+                if x:
+                    acc -= c * x
+            limits.append((acc, cv, strict))
+    scale = lcm(*(cv for _, cv, _ in limits))
+    d = den * scale
+    # the least upper and the greatest lower limit; on a tie the strict one
+    upper = min(((acc * (scale // cv), not strict)
+                 for acc, cv, strict in limits if cv > 0), default=None)
+    lower = max(((acc * (scale // cv), strict)
+                 for acc, cv, strict in limits if cv < 0), default=None)
     if lower is None and upper is None:
         return _ZERO
     if lower is None:
-        return upper[0] - 1
+        return Fraction(upper[0] - d, d)
     if upper is None:
-        return lower[0] + 1
+        return Fraction(lower[0] + d, d)
     if lower[0] < upper[0]:
-        return (lower[0] + upper[0]) / 2
-    if lower[0] == upper[0] and not lower[1] and not upper[1]:
-        return lower[0]
+        return Fraction(lower[0] + upper[0], 2 * d)
+    if lower[0] == upper[0] and not lower[1] and upper[1]:
+        return Fraction(lower[0], d)
     raise InternalInvariantError("empty interval during back-substitution")
 
 

@@ -23,8 +23,7 @@ from . import jsonio
 from .errors import (BoundarySumMismatch, DegreeNotPositive, DomainError,
                      InternalInvariantError, LimitExceeded, OnWall,
                      WeightOutOfRange)
-from .ratcore import (ConstraintSystem, LinearConstraint, Fraction, rat,
-                      rat_str, is_feasible, _int_scaled, _solve_rows)
+from .ratcore import Fraction, rat, rat_str, _solve_rows
 
 DEFAULT_ENUM_LIMIT = 8
 CACHE_ENV_VAR = "WEIGHTSCAPE_CACHE"
@@ -83,6 +82,19 @@ def integer_scaled(weights: Mapping[int, Fraction]) -> tuple[dict[int, int], int
             for m, w in weights.items()}, den
 
 
+def rationals(values: Iterable, name: str) -> tuple[Fraction, ...]:
+    """Each entry parsed by `rat`.  An entry that is no exact rational (a
+    float, a malformed string) raises DomainError naming it as name_i."""
+    out = []
+    for i, value in enumerate(values, start=1):
+        try:
+            out.append(rat(value))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(
+                f"{name}_{i} = {value!r} is not an exact rational") from exc
+    return tuple(out)
+
+
 def validate(genus, weights, mode: Mode = Mode.STRICT) -> WeightData:
     """Check the domain conditions for the given mode and build a WeightData.
 
@@ -91,7 +103,7 @@ def validate(genus, weights, mode: Mode = Mode.STRICT) -> WeightData:
     """
     if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
         raise DomainError(f"genus must be a nonnegative integer, got {genus!r}")
-    ws = tuple(rat(w) for w in weights)
+    ws = rationals(weights, "a")
     if not ws:
         raise DomainError("at least one weight is required")
     if mode == Mode.BOUNDARY and genus != 0:
@@ -153,59 +165,26 @@ class Chamber:
     representative: WeightData
 
 
-def _size_range(n: int, granularity: Granularity) -> range:
-    if granularity == Granularity.FINE:
-        return range(2, n - 1)       # 2 <= |S| <= n-2
-    return range(3, n - 2)           # 2 < |S| < n-2, literally
-
-
-def domain_constraints(genus: int, n: int) -> list[LinearConstraint]:
-    """0 < a_j <= 1 for each j and sum(a) > 2-2g, in a fixed order."""
-    rows = []
-    for j in range(n):
-        unit = tuple(Fraction(-1) if i == j else _ZERO for i in range(n))
-        rows.append(LinearConstraint.less(unit, 0))          # -a_j < 0
-    for j in range(n):
-        unit = tuple(_ONE if i == j else _ZERO for i in range(n))
-        rows.append(LinearConstraint.at_most(unit, 1))       # a_j <= 1
-    rows.append(LinearConstraint.less(tuple(Fraction(-1) for _ in range(n)),
-                                      2 * genus - 2))        # -sum < 2g-2
-    return rows
-
-
-def _wall_row(n: int, subset: frozenset[int], relation: str) -> LinearConstraint:
-    coeffs = tuple(_ONE if (i + 1) in subset else _ZERO for i in range(n))
-    return LinearConstraint.make(coeffs, 1, relation)
-
-
-def _sign_row(n: int, subset: frozenset[int], position: Position) -> LinearConstraint:
-    if position == Position.ON:
-        return _wall_row(n, subset, "=")
-    if position == Position.BELOW:
-        return _wall_row(n, subset, "<")
-    coeffs = tuple(Fraction(-1) if (i + 1) in subset else _ZERO for i in range(n))
-    return LinearConstraint.make(coeffs, -1, "<")            # sum_S a > 1
-
-
 @lru_cache(maxsize=None)
 def walls(genus: int, n: int, granularity: Granularity) -> tuple[Wall, ...]:
-    """All subsets in the granularity's size range whose hyperplane meets
-    the domain, sorted by size then lexicographically.  Memoized: the wall
-    set of a (genus, n, granularity) triple never changes."""
+    """All subsets in the granularity's size range, sorted by size then
+    lexicographically.  Memoized: the wall set of a (genus, n,
+    granularity) triple never changes.
+
+    Every such subset S is a wall: weight 1/|S| on S and 1 elsewhere lies
+    in the domain, on the hyperplane, since |S| <= n-2 makes the total at
+    least 3 > 2-2g.
+    """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(genus, int) or genus < 0:
+        raise DomainError(f"genus must be a nonnegative integer, got {genus!r}")
     if genus == 0 and n < 3:
         raise DomainError("genus 0 requires n >= 3")
-    base = domain_constraints(genus, n)
-    found = []
-    for size in _size_range(n, granularity):
-        for subset in combinations(range(1, n + 1), size):
-            s = frozenset(subset)
-            system = ConstraintSystem.make(n, base + [_wall_row(n, s, "=")])
-            if is_feasible(system):
-                found.append(Wall(s, granularity))
-    found.sort(key=Wall.sort_key)
-    return tuple(found)
+    # 2 <= |S| <= n-2 when fine, 2 < |S| < n-2 (taken literally) when coarse
+    low, high = (2, n - 1) if granularity == Granularity.FINE else (3, n - 2)
+    return tuple(Wall(frozenset(s), granularity) for size in range(low, high)
+                 for s in combinations(range(1, n + 1), size))
 
 
 def locate(data: WeightData, granularity: Granularity) -> SignVector:
@@ -296,51 +275,68 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
             # unreadable or stale cache entry: recompute and overwrite
 
     wall_list = walls(genus, n, granularity)
-    base = domain_constraints(genus, n)
-    base_rows = [(*_int_scaled(c.coefficients, c.constant),
-                  c.relation == "<") for c in base]
-    sign_rows = {}
-    for wall in wall_list:
-        for position in (Position.ABOVE, Position.BELOW):
-            c = _sign_row(n, wall.subset, position)
-            sign_rows[(wall.subset, position)] = (
-                *_int_scaled(c.coefficients, c.constant), True)
+    # integer solver rows (coeffs, bound, strict) for the domain 0 < a_j <= 1
+    # and sum(a) > 2-2g
+    rows = [(tuple(-(i == j) for i in range(n)), 0, True) for j in range(n)]
+    rows += [(tuple(int(i == j) for i in range(n)), 1, False)
+             for j in range(n)]
+    rows.append(((-1,) * n, 2 * genus - 2, True))
+    # Walls whose ABOVE sign follows from signs decided before them: a
+    # subset one smaller (all weights are positive), and in genus 0 the
+    # complement (the total exceeds 2).  Walls come by size, so both are
+    # decided earlier whenever they are walls.
+    index_of = {wall.subset: i for i, wall in enumerate(wall_list)}
+    full = frozenset(range(1, n + 1))
+    forcing = []  # per wall: (earlier wall, sign) pairs that imply ABOVE
+    for i, wall in enumerate(wall_list):
+        pairs = [(index_of[wall.subset - {m}], Position.ABOVE)
+                 for m in wall.subset if wall.subset - {m} in index_of]
+        if genus == 0 and index_of.get(full - wall.subset, i) < i:
+            pairs.append((index_of[full - wall.subset], Position.BELOW))
+        forcing.append(pairs)
     chambers: list[Chamber] = []
-    rows: list = list(base_rows)
     signs: list[Position] = []
 
     # Depth-first sign assignment with an inherited interior witness: the
     # branch containing the witness is feasible for free, only the other
-    # side pays for an elimination run.
-    def descend(index: int, witness: tuple[Fraction, ...]):
+    # side pays for an elimination run.  An implied sign adds no row, so
+    # the polyhedron and the point the solver picks stay the same; `solved`
+    # says the witness is already the solver's point for the current rows.
+    def descend(index: int, witness: tuple[Fraction, ...], solved: bool):
         if index == len(wall_list):
-            feasible, point = _solve_rows(n, rows, [], True)
-            if not feasible:
-                raise InternalInvariantError("witnessed chamber is infeasible")
-            rep = validate(genus, point, Mode.ZERO_ALLOWED)
+            if not solved:
+                feasible, witness = _solve_rows(n, rows, [], True)
+                if not feasible:
+                    raise InternalInvariantError(
+                        "witnessed chamber is infeasible")
+            rep = validate(genus, witness, Mode.ZERO_ALLOWED)
             vec = SignVector(genus, n, granularity, tuple(signs))
             chambers.append(Chamber(vec, rep))
             return
         wall = wall_list[index]
+        if any(signs[j] == sign for j, sign in forcing[index]):
+            signs.append(Position.ABOVE)
+            descend(index + 1, witness, solved)
+            signs.pop()
+            return
         total = sum((witness[i - 1] for i in wall.subset), Fraction(0))
-        for position in (Position.ABOVE, Position.BELOW):
-            row = sign_rows[(wall.subset, position)]
-            rows.append(row)
+        # ABOVE is -sum_S a < -1, BELOW is sum_S a < 1
+        for position, side in ((Position.ABOVE, -1), (Position.BELOW, 1)):
+            rows.append((tuple(side if i in wall.subset else 0
+                               for i in range(1, n + 1)), side, True))
             signs.append(position)
-            on_side = (total > 1 and position == Position.ABOVE) or \
-                      (total < 1 and position == Position.BELOW)
-            if on_side:
-                descend(index + 1, witness)
+            if (total - 1) * side < 0:  # the witness is on this side
+                descend(index + 1, witness, False)
             else:
                 feasible, point = _solve_rows(n, rows, [], True)
                 if feasible:
-                    descend(index + 1, point)
+                    descend(index + 1, point, True)
             signs.pop()
             rows.pop()
 
-    feasible, start = _solve_rows(n, list(base_rows), [], True)
+    feasible, start = _solve_rows(n, rows, [], True)
     if feasible:
-        descend(0, start)
+        descend(0, start, True)
     result = tuple(chambers)
 
     if cache_dir:

@@ -8,6 +8,7 @@ import pytest
 
 import weightscape as ws
 from weightscape.curves import MarkClass, Stratum, _degenerations
+from weightscape.ratcore import _apply_equalities, _split_rows
 from weightscape.weights import Mode
 
 
@@ -248,6 +249,137 @@ def unpruned_strata(data, max_codim):
         if not level:
             break
     return tuple(strata)
+
+
+def fraction_prune(rows):
+    """Fourier-Motzkin pruning with Fraction bounds: each row divided by
+    the gcd of its coefficients only, parallel rows compared as Fractions."""
+    from math import gcd
+    kept = {}
+    for coeffs, bound, strict in rows:
+        if not any(coeffs):
+            if bound < 0 or (strict and bound == 0):
+                return None
+            continue
+        scale = gcd(*coeffs)
+        key = tuple(c // scale for c in coeffs)
+        nb = Fraction(bound, scale)
+        prev = kept.get(key)
+        if prev is None or nb < prev[0] or (nb == prev[0] and strict
+                                            and not prev[1]):
+            kept[key] = (nb, strict)
+    return [(key, b, s) for key, (b, s) in kept.items()]
+
+
+def fraction_eliminate(rows, var):
+    uppers = [r for r in rows if r[0][var] > 0]
+    lowers = [r for r in rows if r[0][var] < 0]
+    out = [r for r in rows if r[0][var] == 0]
+    for uc, ub, us in uppers:
+        for lc, lb, ls in lowers:
+            mu, ml = -lc[var], uc[var]
+            out.append((tuple(mu * u + ml * lv for u, lv in zip(uc, lc)),
+                        mu * ub + ml * lb, us or ls))
+    return out
+
+
+def fraction_pick_value(var, rows, values):
+    """Midpoint of x_var's interval, every limit a Fraction."""
+    lower = upper = None
+    for coeffs, bound, strict in rows:
+        cv = coeffs[var]
+        if cv == 0:
+            continue
+        acc = Fraction(bound)
+        for i, c in enumerate(coeffs):
+            if i != var and c != 0:
+                acc -= c * values[i]
+        limit = acc / cv
+        if cv > 0:
+            if upper is None or limit < upper[0] or (limit == upper[0]
+                                                     and strict):
+                upper = (limit, strict)
+        elif lower is None or limit > lower[0] or (limit == lower[0]
+                                                   and strict):
+            lower = (limit, strict)
+    if lower is None and upper is None:
+        return Fraction(0)
+    if lower is None:
+        return upper[0] - 1
+    if upper is None:
+        return lower[0] + 1
+    if lower[0] < upper[0]:
+        return (lower[0] + upper[0]) / 2
+    assert lower[0] == upper[0] and not lower[1] and not upper[1]
+    return lower[0]
+
+
+def fraction_solve_rows(dimension, ineqs, eqs, want_point):
+    """Reference Fourier-Motzkin solver with Fraction bounds and limits,
+    same elimination order and midpoint rule as `ratcore._solve_rows`."""
+    pivoted = _apply_equalities(ineqs, eqs)
+    if pivoted is None:
+        return False, None
+    rows, subs = pivoted
+    sub_vars = {p for p, _, _ in subs}
+    stages = []
+    rows = fraction_prune(rows)
+    for v in (v for v in range(dimension) if v not in sub_vars):
+        if rows is None:
+            return False, None
+        stages.append((v, rows))
+        rows = fraction_prune(fraction_eliminate(rows, v))
+    if rows is None:
+        return False, None
+    if not want_point:
+        return True, None
+    values = [None] * dimension
+    for v, staged in reversed(stages):
+        values[v] = fraction_pick_value(v, staged, values)
+    for pivot, eq_coeffs, eq_const in reversed(subs):
+        acc = Fraction(eq_const)
+        for i, e in enumerate(eq_coeffs):
+            if i != pivot and e != 0:
+                acc -= e * values[i]
+        values[pivot] = acc / eq_coeffs[pivot]
+    return True, tuple(values)
+
+
+def fraction_find_interior_point(system):
+    ineqs, eqs = _split_rows(system)
+    return fraction_solve_rows(system.dimension, ineqs, eqs, True)[1]
+
+
+def unpruned_chambers(genus, n, granularity):
+    """(sign codes, representative) of every open chamber: a depth-first
+    search that adds a row for every wall and solves every branch with the
+    Fraction solver, in `enumerate_chambers` order (ABOVE first)."""
+    rows = [(tuple(-(i == j) for i in range(n)), 0, True) for j in range(n)]
+    rows += [(tuple(int(i == j) for i in range(n)), 1, False)
+             for j in range(n)]
+    rows.append(((-1,) * n, 2 * genus - 2, True))
+    wall_list = ws.walls(genus, n, granularity)
+    signs, found = [], []
+
+    def descend(index):
+        feasible, point = fraction_solve_rows(n, rows, [], True)
+        if not feasible:
+            return
+        if index == len(wall_list):
+            found.append(("".join(signs), point))
+            return
+        subset = wall_list[index].subset
+        for code, side in (("A", -1), ("B", 1)):
+            # ABOVE: -sum_S a < -1; BELOW: sum_S a < 1
+            rows.append((tuple(side if i + 1 in subset else 0
+                               for i in range(n)), side, True))
+            signs.append(code)
+            descend(index + 1)
+            signs.pop()
+            rows.pop()
+
+    descend(0)
+    return found
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from weightscape.cli import run
 
 
@@ -46,6 +48,19 @@ def test_bool_weight_data_exit_code():
                     '{"genus":0,"weights":[true,"1","1"]}'):
         code, out, err = invoke(["validate", "--weights", payload, "--json"])
         assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["validate", "--weights", '{"genus":0,"weights":[0.5,1,1,1]}'], "a_1"),
+    (["validate", "--weights", '{"genus":0,"weights":[1,1,1,"abc"]}'], "a_4"),
+    (["validate", "--weights", '{"genus":0,"weights":[1,"1/0",1,1]}'], "a_2"),
+    (["git-sstypes", "--linearization", '{"t":["1/2",0.5,"1/2","1/2"]}'],
+     "t_2"),
+])
+def test_inexact_entry_is_domain_error(argv, entry):
+    code, out, err = invoke(argv + ["--json"])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {entry} = ") and "Traceback" not in err
 
 
 def test_unknown_subcommand():

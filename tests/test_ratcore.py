@@ -79,6 +79,25 @@ def test_strict_pinch_infeasible():
     assert not is_feasible(s)
 
 
+def test_parallel_rows_keep_the_strict_bound():
+    # a strict row and a non-strict multiple with the same bound, pinched
+    # from the other side: infeasible in either order, feasible when both
+    # are non-strict
+    from itertools import permutations
+    for dim in (1, 2):
+        ones = (1,) * dim
+        pinch = LinearConstraint.at_most((-1,) * dim, -1)
+        strict = LinearConstraint.less(ones, 1)
+        closed = LinearConstraint.at_most((3,) * dim, 3)
+        for rows in permutations([strict, closed, pinch]):
+            assert not is_feasible(system(dim, *rows))
+            assert find_interior_point(system(dim, *rows)) is None
+        for rows in permutations([LinearConstraint.at_most(ones, 1), closed,
+                                  pinch]):
+            point = find_interior_point(system(dim, *rows))
+            assert point is not None and sum(point) == 1
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         system(2, LinearConstraint.less((1,), 0))
@@ -166,6 +185,37 @@ def test_grid_oracle_agreement(rng):
         denom = 64 if dim <= 2 else 8
         if _grid_has_witness(rows, dim, denom=denom):
             assert is_feasible(s)
+
+
+@st.composite
+def rational_systems(draw):
+    """Dimension 1-4, up to six rows of <, <= and =, rational entries, and
+    up to three multiples of drawn rows with a shifted bound or another
+    relation, so parallel and opposite rows meet in the pruning."""
+    dim = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    rows = [LinearConstraint.make(
+                tuple(draw(entry) for _ in range(dim)),
+                Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))),
+                draw(st.sampled_from(["<", "<=", "="])))
+            for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        factor = Fraction(draw(st.sampled_from([-2, -1, 1, 2, 3])),
+                          draw(st.integers(1, 3)))
+        shift = Fraction(draw(st.integers(-1, 1)), 2)
+        rows.append(LinearConstraint.make(
+            tuple(factor * c for c in row.coefficients),
+            factor * (row.constant + shift), draw(st.sampled_from(["<", "<="]))))
+    return ConstraintSystem.make(dim, tuple(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_interior_point_matches_fraction_oracle(s):
+    # the integer kernel rescales rows only, so its point is the oracle's
+    from conftest import fraction_find_interior_point
+    assert find_interior_point(s) == fraction_find_interior_point(s)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -76,6 +77,33 @@ class TestWalls:
         found = ws.walls(0, 5, FINE)
         keys = [w.sort_key() for w in found]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("granularity", [FINE, COARSE])
+    @pytest.mark.parametrize("genus", [0, 1, 2])
+    def test_every_subset_in_range_meets_the_domain(self, genus, granularity):
+        # the closed form against an exact solve of domain + wall per subset
+        from weightscape.ratcore import (ConstraintSystem, LinearConstraint,
+                                         is_feasible)
+        for n in range(3 if genus == 0 else 1, 10):
+            sizes = range(2, n - 1) if granularity == FINE else range(3, n - 2)
+            domain = [LinearConstraint.less((-1,) * n, 2 * genus - 2)]
+            for j in range(n):
+                unit = tuple(int(i == j) for i in range(n))
+                domain.append(LinearConstraint.less([-c for c in unit], 0))
+                domain.append(LinearConstraint.at_most(unit, 1))
+            meets = []
+            for size in sizes:
+                for s in combinations(range(1, n + 1), size):
+                    wall = LinearConstraint.equal(
+                        [int(i in s) for i in range(1, n + 1)], 1)
+                    if is_feasible(ConstraintSystem.make(n, domain + [wall])):
+                        meets.append(frozenset(s))
+            assert [w.subset for w in ws.walls(genus, n, granularity)] == meets
+
+    def test_guards(self):
+        for genus, n in ((0, 2), (-1, 5), ("1", 5), (0, 0), (0, "5")):
+            with pytest.raises(DomainError):
+                ws.walls(genus, n, FINE)
 
 
 class TestLocate:
@@ -195,6 +223,33 @@ class TestEnumerateChambers:
         assert first == ws.enumerate_chambers(0, 4, FINE)
         from weightscape.weights import chambers_json
         assert path.read_text() == chambers_json(0, 4, FINE, first)
+
+
+# sha256 of chambers_json(g, n, FINE, ...) as computed before the integer
+# Fourier-Motzkin kernel and implied-wall pruning: both must leave every
+# sign vector and representative byte for byte unchanged
+GOLDEN_FINE_CHAMBERS = {
+    (0, 4): "827e38088af63e25ff6ef01471f86194e3904e4cecfcdd5a71541345c5573516",
+    (1, 4): "701d035ffbffd51a6b345d4e9cae452e777d86aa7adeb2045237614bc8e91fac",
+    (0, 5): "f07878b5395ebcfafbf754a02cb3df3d5e490bfec93b44f435382f952d08ad09",
+    (1, 5): "6b0d664969f71e6f4513eb3f81a30faba7b4b626f7d9fb9e3e6821eb00a61eeb",
+}
+
+
+@pytest.mark.parametrize("genus, n", sorted(GOLDEN_FINE_CHAMBERS))
+def test_fine_chambers_golden_bytes(genus, n):
+    from weightscape.weights import chambers_json
+    text = chambers_json(genus, n, FINE, ws.enumerate_chambers(genus, n, FINE))
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == GOLDEN_FINE_CHAMBERS[(genus, n)]
+
+
+@pytest.mark.parametrize("genus, n", [(0, 4), (1, 4)])
+def test_pruned_search_matches_unpruned(genus, n):
+    from conftest import unpruned_chambers
+    found = [(c.sign_vector.codes(), c.representative.weights)
+             for c in ws.enumerate_chambers(genus, n, FINE)]
+    assert found == unpruned_chambers(genus, n, FINE)
 
 
 class TestPerturb:
