@@ -41,9 +41,12 @@ def _read_payload(raw: str) -> dict:
         with open(raw, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        return jsonio.loads(text)
+        payload = jsonio.loads(text)
     except ValueError as exc:
         raise DomainError(f"cannot parse JSON payload: {exc}")
+    if not isinstance(payload, dict):
+        raise DomainError(f"a payload must be a JSON object, got {text!r}")
+    return payload
 
 
 def _weight_arg(raw: str, mode=weights.Mode.ZERO_ALLOWED) -> weights.WeightData:

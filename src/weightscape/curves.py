@@ -607,11 +607,11 @@ def boundary_divisors(data: WeightData) -> tuple[BoundaryDivisor, ...]:
         for rest in combinations(range(2, n + 1), size - 1):
             side = frozenset((1,) + rest)
             other = everything - side
-            if data.subset_sum(side) > 1 and data.subset_sum(other) > 1:
+            if data.excess(side) > 0 and data.excess(other) > 0:
                 nodal.append(BoundaryDivisor(DivisorKind.NODAL, side, other))
     pairs = [BoundaryDivisor(DivisorKind.COINCIDENCE, frozenset(p))
              for p in combinations(range(1, n + 1), 2)
-             if data.subset_sum(p) <= 1]
+             if data.excess(p) <= 0]
     return tuple(sorted(nodal + pairs, key=BoundaryDivisor.sort_key))
 
 
@@ -642,15 +642,15 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
         if divisor.kind == DivisorKind.COINCIDENCE:
             fates.append(DivisorFate(divisor, DivisorStatus.PRESERVED))
             continue
-        sum_i = b.subset_sum(divisor.members)
-        sum_j = b.subset_sum(divisor.complement)
-        if sum_i > 1 and sum_j > 1:
+        above_i = b.excess(divisor.members) > 0
+        above_j = b.excess(divisor.complement) > 0
+        if above_i and above_j:
             fates.append(DivisorFate(divisor, DivisorStatus.PRESERVED))
             continue
-        if sum_i <= 1 and sum_j <= 1:
+        if not (above_i or above_j):
             raise InternalInvariantError("both sides dropped to sum <= 1")
-        side = divisor.members if sum_i <= 1 else divisor.complement
-        other = divisor.complement if sum_i <= 1 else divisor.members
+        side = divisor.complement if above_i else divisor.members
+        other = divisor.members if above_i else divisor.complement
         if len(side) == 2:
             fates.append(DivisorFate(divisor, DivisorStatus.BECOMES_COINCIDENCE,
                                      collapsed_side=side))
@@ -669,7 +669,7 @@ def is_reduction_iso(a: WeightData, b: WeightData) -> bool:
     a, b = _reduction_pair(a, b, Mode.STRICT)
     for size in range(3, a.n + 1):
         for subset in combinations(range(1, a.n + 1), size):
-            if a.subset_sum(subset) > 1 and b.subset_sum(subset) <= 1:
+            if a.excess(subset) > 0 and b.excess(subset) <= 0:
                 return False
     return True
 
@@ -685,9 +685,9 @@ def is_blowup_profile(data: WeightData, subset: Iterable[int]) -> bool:
         raise DomainError("blow-up profiles need |I| >= 3")
     if members[0] < 1 or members[-1] > data.n:
         raise DomainError("subset out of range")
-    if data.subset_sum(members) <= 1:
+    if data.excess(members) <= 0:
         return False
-    return all(data.subset_sum(sub) <= 1
+    return all(data.excess(sub) <= 0
                for sub in combinations(members, len(members) - 1))
 
 

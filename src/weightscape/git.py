@@ -10,7 +10,7 @@ typical when no subset at all sums to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -29,9 +29,11 @@ _TWO = Fraction(2)
 @dataclass(frozen=True)
 class Linearization:
     t: tuple[Fraction, ...]
+    # t as validated genus-0 weight data; every subset test reads its excess
+    data: WeightData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate(0, self.t, Mode.BOUNDARY)
+        object.__setattr__(self, "data", validate(0, self.t, Mode.BOUNDARY))
 
     @classmethod
     def make(cls, values: Iterable) -> "Linearization":
@@ -42,7 +44,7 @@ class Linearization:
         return len(self.t)
 
     def subset_sum(self, subset: Iterable[int]) -> Fraction:
-        return sum((self.t[i - 1] for i in subset), Fraction(0))
+        return self.data.subset_sum(subset)
 
     def to_json_dict(self) -> dict:
         return {"t": [rat_str(v) for v in self.t]}
@@ -98,10 +100,10 @@ def stability(config: ConfigType, lin: Linearization) -> GitVerdict:
     above 1; strictly semistable otherwise."""
     if config.n != lin.n:
         raise DomainError("configuration and linearization sizes differ")
-    worst = max(lin.subset_sum(c) for c in config.classes)
-    if worst < _ONE:
+    worst = max(map(lin.data.excess, config.classes))
+    if worst < 0:
         return GitVerdict.STABLE
-    if worst > _ONE:
+    if worst > 0:
         return GitVerdict.UNSTABLE
     return GitVerdict.STRICTLY_SEMISTABLE
 
@@ -111,13 +113,15 @@ def is_typical(lin: Linearization) -> bool:
     return not _unit_subsets(lin)
 
 
+def _proper_subsets(n: int):
+    """Every nonempty proper subset of 1..n, by size then lexicographically."""
+    return (s for size in range(1, n)
+            for s in combinations(range(1, n + 1), size))
+
+
 def _unit_subsets(lin: Linearization) -> list[frozenset[int]]:
-    hits = []
-    for size in range(1, lin.n):
-        for subset in combinations(range(1, lin.n + 1), size):
-            if lin.subset_sum(subset) == _ONE:
-                hits.append(frozenset(subset))
-    return hits
+    return [frozenset(s) for s in _proper_subsets(lin.n)
+            if lin.data.excess(s) == 0]
 
 
 def strictly_semistable_types(lin: Linearization) -> tuple[frozenset[int], ...]:
@@ -145,14 +149,14 @@ def tau_fine_preimage(lin: Linearization) -> WeightData:
     """A canonical interior weight datum mapping to the given typical
     boundary point under tau: scale by s = (1 + 1/M)/2 where M is the
     largest subset sum below 1.  The result lies in an open fine chamber."""
-    if not is_typical(lin):
+    excesses = list(map(lin.data.excess, _proper_subsets(lin.n)))
+    if 0 in excesses:
         raise AtypicalLinearization("the linearization admits a subset sum of 1")
-    below = [lin.subset_sum(s)
-             for size in range(1, lin.n + 1)
-             for s in combinations(range(1, lin.n + 1), size)
-             if lin.subset_sum(s) < _ONE]
-    biggest = max(below)
-    scale = (1 + 1 / biggest) / 2
+    # M = (den + e) / den for the largest negative excess e (the full set
+    # sums to 2, so it is never below), and s = (2 den + e) / (2 (den + e))
+    e = max(x for x in excesses if x < 0)
+    den = lin.data.scaled[1]
+    scale = Fraction(2 * den + e, 2 * (den + e))
     data = validate(0, tuple(scale * t for t in lin.t), Mode.STRICT)
     if locate(data, Granularity.FINE).has_on:
         raise InternalInvariantError("scaled weights landed on a fine wall")
@@ -187,10 +191,10 @@ def chamber_matches_quotient(data: WeightData, lin: Linearization) -> QuotientMa
     mismatched, ambiguous = [], []
     for size in range(2, data.n + 1):
         for subset in combinations(range(1, data.n + 1), size):
-            a_sum = data.subset_sum(subset)
-            allowed_curve = a_sum <= _ONE
-            allowed_git = lin.subset_sum(subset) < _ONE
-            if a_sum == _ONE:
+            excess = data.excess(subset)
+            allowed_curve = excess <= 0
+            allowed_git = lin.data.excess(subset) < 0
+            if excess == 0:
                 ambiguous.append(frozenset(subset))
             if allowed_curve != allowed_git:
                 mismatched.append(frozenset(subset))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .ratcore import rat, rat_str
+from .ratcore import rat_str, rational
 
 _NEG_ONE = Fraction(-1)
 
@@ -67,7 +67,7 @@ def kapranov_ledger(n: int, k: int, alpha) -> DiscrepancyLedger:
     """Ledger for the first k blow-up steps over projective space with
     boundary coefficient alpha: step r has canonical coefficient n-3-r and
     boundary multiplicity C(n-1-r, 2)."""
-    alpha = rat(alpha)
+    alpha = rational(alpha, "alpha")
     if n < 5:
         raise DomainError("the tower needs n >= 5")
     if not 1 <= k <= n - 4:
@@ -95,7 +95,8 @@ class AmpleLcRange:
         return self.lower_exclusive < self.upper_inclusive
 
     def contains(self, alpha) -> bool:
-        return self.lower_exclusive < rat(alpha) <= self.upper_inclusive
+        return self.lower_exclusive < rational(alpha, "alpha") \
+            <= self.upper_inclusive
 
     def to_json_dict(self) -> dict:
         return {"lower_exclusive": rat_str(self.lower_exclusive),
@@ -137,7 +138,7 @@ def keel_ledger(n: int, alpha, beta) -> KeelLedgerResult:
     Second family (r = 1..n-5): n-4-r - beta C(n-2-r, 2).
     Ampleness of the base log divisor is 3 alpha + (n-4) beta > 2.
     """
-    alpha, beta = rat(alpha), rat(beta)
+    alpha, beta = rational(alpha, "alpha"), rational(beta, "beta")
     if n < 5:
         raise DomainError("the tower needs n >= 5")
     if alpha < 0 or beta < 0:

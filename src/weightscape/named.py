@@ -130,66 +130,41 @@ def weights_for(family: NamedFamily) -> WeightData:
     return validate(0, ws, Mode.STRICT)
 
 
+def _threshold(data: WeightData, fixed: tuple[int, ...],
+               pool: tuple[int, ...], cut: int) -> bool:
+    """True iff, for every nonempty S in pool, fixed + S lies above its
+    wall exactly when |S| > cut."""
+    return all((data.excess(fixed + s) > 0) == (size > cut)
+               for size in range(1, len(pool) + 1)
+               for s in combinations(pool, size))
+
+
 def _matches_x(data: WeightData, k: int) -> bool:
     n = data.n
-    last = data.weights[n - 1]
-    if any(data.weights[i] + last <= 1 for i in range(n - 1)):
+    if any(data.excess((i, n)) <= 0 for i in range(1, n)):
         return False
-    for size in range(1, n):
-        for subset in combinations(range(1, n), size):
-            total = data.subset_sum(subset)
-            if size <= n - k - 2:
-                if total > 1:
-                    return False
-            elif total <= 1:
-                return False
-    return True
+    return _threshold(data, (), tuple(range(1, n)), n - k - 2)
 
 
 def _matches_y(data: WeightData, k: int) -> bool:
     n = data.n
-    for i, j in combinations((1, 2, 3), 2):
-        if data.subset_sum((i, j)) <= 1:
-            return False
-    tail = range(4, n + 1)
+    if any(data.excess(pair) <= 0 for pair in combinations((1, 2, 3), 2)):
+        return False
+    tail = tuple(range(4, n + 1))
     if k <= n - 4:
         # first tower: thresholds on a_i + (subset of the small weights)
-        for i in (1, 2, 3):
-            for size in range(1, n - 2):
-                for subset in combinations(tail, size):
-                    total = data.weights[i - 1] + data.subset_sum(subset)
-                    if size <= n - 3 - k:
-                        if total > 1:
-                            return False
-                    elif total <= 1:
-                        return False
-        return True
+        return all(_threshold(data, (i,), tail, n - 3 - k) for i in (1, 2, 3))
     # second tower: thresholds on the small weights alone
-    kk = k - (n - 4)
-    for size in range(1, n - 2):
-        for subset in combinations(tail, size):
-            total = data.subset_sum(subset)
-            if size <= n - 3 - kk:
-                if total > 1:
-                    return False
-            elif total <= 1:
-                return False
-    return True
+    return _threshold(data, (), tail, n - 3 - (k - (n - 4)))
 
 
 def _matches_losev_manin(data: WeightData) -> bool:
     n = data.n
-    for i in range(2, n + 1):
-        if data.subset_sum((1, i)) <= 1:
-            return False
-    for i in range(3, n + 1):
-        if data.subset_sum((2, i)) <= 1:
-            return False
-    for size in range(1, n - 1):
-        for subset in combinations(range(3, n + 1), size):
-            if data.subset_sum(subset) > 1:
-                return False
-    return True
+    if any(data.excess((1, i)) <= 0 for i in range(2, n + 1)) or \
+            any(data.excess((2, i)) <= 0 for i in range(3, n + 1)):
+        return False
+    pool = tuple(range(3, n + 1))
+    return _threshold(data, (), pool, len(pool))
 
 
 def classify(data: WeightData) -> tuple[NamedFamily, ...]:

@@ -52,6 +52,17 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def rational(value, name: str) -> Fraction:
+    """`rat(value)`, except that a value that is no exact rational (a
+    float, a malformed string, a zero denominator) raises DomainError
+    naming it: `a_1 = 0.5 is not an exact rational`."""
+    try:
+        return rat(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"{name} = {value!r} is not an exact rational") \
+            from exc
+
+
 def rat_str(value: RationalLike) -> str:
     """Serialize as "p/q" in lowest terms ("p" when the denominator is 1)."""
     return str(rat(value))

@@ -23,7 +23,7 @@ from . import jsonio
 from .errors import (BoundarySumMismatch, DegreeNotPositive, DomainError,
                      InternalInvariantError, LimitExceeded, OnWall,
                      WeightOutOfRange)
-from .ratcore import Fraction, rat, rat_str, _solve_rows
+from .ratcore import Fraction, rat_str, rational, _solve_rows
 
 DEFAULT_ENUM_LIMIT = 8
 CACHE_ENV_VAR = "WEIGHTSCAPE_CACHE"
@@ -59,6 +59,12 @@ class WeightData:
     def subset_sum(self, subset: Iterable[int]) -> Fraction:
         return sum((self.weights[i - 1] for i in subset), _ZERO)
 
+    def excess(self, subset: Iterable[int]) -> int:
+        """den * (sum_{j in S} a_j - 1) on the `scaled` numerators: its sign
+        places S above (+), on (0) or below (-) its wall."""
+        nums, den = self.scaled
+        return sum(map(nums.__getitem__, subset)) - den
+
     @cached_property
     def scaled(self) -> tuple[dict[int, int], int]:
         """`integer_scaled` of the weights, computed once per datum; the
@@ -82,17 +88,14 @@ def integer_scaled(weights: Mapping[int, Fraction]) -> tuple[dict[int, int], int
             for m, w in weights.items()}, den
 
 
-def rationals(values: Iterable, name: str) -> tuple[Fraction, ...]:
-    """Each entry parsed by `rat`.  An entry that is no exact rational (a
-    float, a malformed string) raises DomainError naming it as name_i."""
-    out = []
-    for i, value in enumerate(values, start=1):
-        try:
-            out.append(rat(value))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise DomainError(
-                f"{name}_{i} = {value!r} is not an exact rational") from exc
-    return tuple(out)
+def rationals(values, name: str) -> tuple[Fraction, ...]:
+    """A list or tuple of rationals, the entries named name_1, name_2, ...
+    Anything else, a string or a mapping included, raises DomainError."""
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"{name} must be a list of rationals, "
+                          f"got {values!r}")
+    return tuple(rational(v, f"{name}_{i}")
+                 for i, v in enumerate(values, start=1))
 
 
 def validate(genus, weights, mode: Mode = Mode.STRICT) -> WeightData:
@@ -144,6 +147,9 @@ class Position(Enum):
     ON = "O"      # sum_S a = 1
 
 
+_BY_SIGN = (Position.ON, Position.ABOVE, Position.BELOW)  # by sign of excess
+
+
 @dataclass(frozen=True)
 class SignVector:
     genus: int
@@ -165,7 +171,7 @@ class Chamber:
     representative: WeightData
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # walls(True, ...) is not walls(1, ...)
 def walls(genus: int, n: int, granularity: Granularity) -> tuple[Wall, ...]:
     """All subsets in the granularity's size range, sorted by size then
     lexicographically.  Memoized: the wall set of a (genus, n,
@@ -175,9 +181,9 @@ def walls(genus: int, n: int, granularity: Granularity) -> tuple[Wall, ...]:
     in the domain, on the hyperplane, since |S| <= n-2 makes the total at
     least 3 > 2-2g.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(genus, int) or genus < 0:
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
         raise DomainError(f"genus must be a nonnegative integer, got {genus!r}")
     if genus == 0 and n < 3:
         raise DomainError("genus 0 requires n >= 3")
@@ -190,16 +196,10 @@ def walls(genus: int, n: int, granularity: Granularity) -> tuple[Wall, ...]:
 def locate(data: WeightData, granularity: Granularity) -> SignVector:
     """Exact position of the weight datum against every wall."""
     validate(data.genus, data.weights, Mode.ZERO_ALLOWED)
-    positions = []
-    for wall in walls(data.genus, data.n, granularity):
-        total = data.subset_sum(wall.subset)
-        if total > 1:
-            positions.append(Position.ABOVE)
-        elif total < 1:
-            positions.append(Position.BELOW)
-        else:
-            positions.append(Position.ON)
-    return SignVector(data.genus, data.n, granularity, tuple(positions))
+    subsets = (w.subset for w in walls(data.genus, data.n, granularity))
+    positions = tuple(_BY_SIGN[(e > 0) - (e < 0)]
+                      for e in map(data.excess, subsets))
+    return SignVector(data.genus, data.n, granularity, positions)
 
 
 def same_chamber(a: WeightData, b: WeightData, granularity: Granularity) -> bool:
@@ -302,14 +302,15 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     # side pays for an elimination run.  An implied sign adds no row, so
     # the polyhedron and the point the solver picks stay the same; `solved`
     # says the witness is already the solver's point for the current rows.
-    def descend(index: int, witness: tuple[Fraction, ...], solved: bool):
+    def descend(index: int, witness: WeightData, solved: bool):
         if index == len(wall_list):
             if not solved:
-                feasible, witness = _solve_rows(n, rows, [], True)
+                feasible, point = _solve_rows(n, rows, [], True)
                 if not feasible:
                     raise InternalInvariantError(
                         "witnessed chamber is infeasible")
-            rep = validate(genus, witness, Mode.ZERO_ALLOWED)
+                witness = WeightData(genus, point)
+            rep = validate(genus, witness.weights, Mode.ZERO_ALLOWED)
             vec = SignVector(genus, n, granularity, tuple(signs))
             chambers.append(Chamber(vec, rep))
             return
@@ -319,24 +320,24 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
             descend(index + 1, witness, solved)
             signs.pop()
             return
-        total = sum((witness[i - 1] for i in wall.subset), Fraction(0))
+        excess = witness.excess(wall.subset)
         # ABOVE is -sum_S a < -1, BELOW is sum_S a < 1
         for position, side in ((Position.ABOVE, -1), (Position.BELOW, 1)):
             rows.append((tuple(side if i in wall.subset else 0
                                for i in range(1, n + 1)), side, True))
             signs.append(position)
-            if (total - 1) * side < 0:  # the witness is on this side
+            if excess * side < 0:  # the witness is on this side
                 descend(index + 1, witness, False)
             else:
                 feasible, point = _solve_rows(n, rows, [], True)
                 if feasible:
-                    descend(index + 1, point, True)
+                    descend(index + 1, WeightData(genus, point), True)
             signs.pop()
             rows.pop()
 
     feasible, start = _solve_rows(n, rows, [], True)
     if feasible:
-        descend(0, start, True)
+        descend(0, WeightData(genus, start), True)
     result = tuple(chambers)
 
     if cache_dir:
@@ -374,10 +375,10 @@ def perturb_to_fine_chamber(data: WeightData) -> WeightData:
     """
     data = validate(data.genus, data.weights, Mode.STRICT)
     slacks = [data.total - (2 - 2 * data.genus), min(data.weights)]
-    for wall in walls(data.genus, data.n, Granularity.FINE):
-        total = data.subset_sum(wall.subset)
-        if total != 1:
-            slacks.append(abs(total - 1))
+    fine = walls(data.genus, data.n, Granularity.FINE)
+    gaps = [abs(e) for e in (data.excess(w.subset) for w in fine) if e]
+    if gaps:
+        slacks.append(Fraction(min(gaps), data.scaled[1]))
     eps = min(slacks) / 2
     step = eps / data.n
     shifted = validate(data.genus, tuple(w - step for w in data.weights),
@@ -392,13 +393,12 @@ def universal_curve_weight(data: WeightData) -> WeightData:
     the minimum distance |sum_S a - 1| over the fine walls.  Raises OnWall
     when the input sits on a fine wall."""
     data = validate(data.genus, data.weights, Mode.STRICT)
-    gaps = []
-    for wall in walls(data.genus, data.n, Granularity.FINE):
-        gap = abs(data.subset_sum(wall.subset) - 1)
-        if gap == 0:
-            raise OnWall(f"weight datum lies on the wall {sorted(wall.subset)}")
-        gaps.append(gap)
+    fine = walls(data.genus, data.n, Granularity.FINE)
+    gaps = [abs(data.excess(wall.subset)) for wall in fine]
+    if 0 in gaps:
+        wall = fine[gaps.index(0)]
+        raise OnWall(f"weight datum lies on the wall {sorted(wall.subset)}")
     # A wall-free domain (e.g. n = 3, genus 0) leaves eps unconstrained;
     # 1/2 is the canonical choice.
-    eps = min(gaps) / 2 if gaps else Fraction(1, 2)
+    eps = Fraction(min(gaps), 2 * data.scaled[1]) if gaps else Fraction(1, 2)
     return validate(data.genus, data.weights + (eps,), Mode.STRICT)

@@ -382,6 +382,173 @@ def unpruned_chambers(genus, n, granularity):
     return found
 
 
+def fraction_sum(weights, subset):
+    """sum_{j in S} weights_j as a Fraction, weights indexed from 1."""
+    return sum((weights[i - 1] for i in subset), Fraction(0))
+
+
+def fraction_locate(data, granularity):
+    """Slow `locate`: one Fraction subset sum per wall, compared with 1."""
+    positions = []
+    for wall in ws.walls(data.genus, data.n, granularity):
+        total = fraction_sum(data.weights, wall.subset)
+        if total > 1:
+            positions.append(ws.Position.ABOVE)
+        elif total < 1:
+            positions.append(ws.Position.BELOW)
+        else:
+            positions.append(ws.Position.ON)
+    return tuple(positions)
+
+
+def fraction_perturb_eps(data):
+    """eps of `perturb_to_fine_chamber`: half the smallest strict slack."""
+    slacks = [sum(data.weights) - (2 - 2 * data.genus), min(data.weights)]
+    for wall in ws.walls(data.genus, data.n, ws.Granularity.FINE):
+        total = fraction_sum(data.weights, wall.subset)
+        if total != 1:
+            slacks.append(abs(total - 1))
+    return min(slacks) / 2
+
+
+def fraction_ucurve_eps(data):
+    """eps of `universal_curve_weight`, or None on a fine wall."""
+    gaps = [abs(fraction_sum(data.weights, w.subset) - 1)
+            for w in ws.walls(data.genus, data.n, ws.Granularity.FINE)]
+    if 0 in gaps:
+        return None
+    return min(gaps) / 2 if gaps else Fraction(1, 2)
+
+
+def fraction_git_stability(classes, t):
+    worst = max(fraction_sum(t, c) for c in classes)
+    if worst < 1:
+        return ws.GitVerdict.STABLE
+    if worst > 1:
+        return ws.GitVerdict.UNSTABLE
+    return ws.GitVerdict.STRICTLY_SEMISTABLE
+
+
+def fraction_unit_subsets(t):
+    """Nonempty proper subsets of 1..n with Fraction sum exactly 1."""
+    n = len(t)
+    return [frozenset(s) for size in range(1, n)
+            for s in combinations(range(1, n + 1), size)
+            if fraction_sum(t, s) == 1]
+
+
+def fraction_tau_fine_weights(t):
+    """Weights of `tau_fine_preimage`, or None for an atypical t: scale by
+    (1 + 1/M)/2, M the largest subset sum below 1."""
+    if fraction_unit_subsets(t):
+        return None
+    n = len(t)
+    biggest = max(fraction_sum(t, s) for size in range(1, n + 1)
+                  for s in combinations(range(1, n + 1), size)
+                  if fraction_sum(t, s) < 1)
+    scale = (1 + 1 / biggest) / 2
+    return tuple(scale * v for v in t)
+
+
+def fraction_matches_quotient(a, t):
+    """(matches, mismatched, ambiguous) of `chamber_matches_quotient`."""
+    mismatched, ambiguous = [], []
+    for size in range(2, len(a) + 1):
+        for subset in combinations(range(1, len(a) + 1), size):
+            a_sum = fraction_sum(a, subset)
+            if a_sum == 1:
+                ambiguous.append(frozenset(subset))
+            if (a_sum <= 1) != (fraction_sum(t, subset) < 1):
+                mismatched.append(frozenset(subset))
+    return not mismatched, tuple(mismatched), tuple(ambiguous)
+
+
+def fraction_matches_x(a, k):
+    n = len(a)
+    if any(a[i] + a[n - 1] <= 1 for i in range(n - 1)):
+        return False
+    for size in range(1, n):
+        for subset in combinations(range(1, n), size):
+            total = fraction_sum(a, subset)
+            if size <= n - k - 2:
+                if total > 1:
+                    return False
+            elif total <= 1:
+                return False
+    return True
+
+
+def fraction_matches_y(a, k):
+    n = len(a)
+    for i, j in combinations((1, 2, 3), 2):
+        if a[i - 1] + a[j - 1] <= 1:
+            return False
+    tail = range(4, n + 1)
+    if k <= n - 4:
+        for i in (1, 2, 3):
+            for size in range(1, n - 2):
+                for subset in combinations(tail, size):
+                    total = a[i - 1] + fraction_sum(a, subset)
+                    if size <= n - 3 - k:
+                        if total > 1:
+                            return False
+                    elif total <= 1:
+                        return False
+        return True
+    kk = k - (n - 4)
+    for size in range(1, n - 2):
+        for subset in combinations(tail, size):
+            total = fraction_sum(a, subset)
+            if size <= n - 3 - kk:
+                if total > 1:
+                    return False
+            elif total <= 1:
+                return False
+    return True
+
+
+def fraction_matches_losev_manin(a):
+    n = len(a)
+    if any(a[0] + a[i - 1] <= 1 for i in range(2, n + 1)):
+        return False
+    if any(a[1] + a[i - 1] <= 1 for i in range(3, n + 1)):
+        return False
+    return all(fraction_sum(a, subset) <= 1
+               for size in range(1, n - 1)
+               for subset in combinations(range(3, n + 1), size))
+
+
+def fraction_divisor_fate(divisor, b):
+    """(status, collapsed side) of a boundary divisor under the reduction
+    to the weights b: a nodal side whose sum drops to 1 or below collapses,
+    to a coincidence when it is a pair."""
+    low = [side for side in (divisor.members, divisor.complement)
+           if divisor.kind == ws.DivisorKind.NODAL
+           and fraction_sum(b, side) <= 1]
+    if not low:
+        return ws.DivisorStatus.PRESERVED, None
+    (side,) = low
+    status = (ws.DivisorStatus.BECOMES_COINCIDENCE if len(side) == 2
+              else ws.DivisorStatus.CONTRACTED)
+    return status, side
+
+
+def fraction_is_reduction_iso(a, b):
+    """True iff every subset crossing the sum-1 threshold has size 2."""
+    n = len(a)
+    return not any(fraction_sum(a, s) > 1 and fraction_sum(b, s) <= 1
+                   for size in range(3, n + 1)
+                   for s in combinations(range(1, n + 1), size))
+
+
+def fraction_is_blowup_profile(a, members):
+    members = sorted(set(members))
+    if fraction_sum(a, members) <= 1:
+        return False
+    return all(fraction_sum(a, sub) <= 1
+               for sub in combinations(members, len(members) - 1))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

@@ -63,6 +63,29 @@ def test_inexact_entry_is_domain_error(argv, entry):
     assert err.startswith(f"error: {entry} = ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--weights", '{"genus":0,"weights":"1111"}'],
+     "a must be a list"),
+    (["validate", "--weights", '{"genus":0,"weights":{"1":1,"2":1,"3":1}}'],
+     "a must be a list"),
+    (["validate", "--weights", '{"genus":0,"weights":5}'], "a must be a list"),
+    (["git-sstypes", "--linearization", '{"t":"111111"}'], "t must be a list"),
+    (["validate", "--weights", "[1,2]"], "a payload must be a JSON object"),
+    (["git-sstypes", "--linearization", '["1/2","1/2","1/2","1/2"]'],
+     "a payload must be a JSON object"),
+    (["lc-kapranov", "--n", "6", "--k", "1", "--alpha", "abc"],
+     "alpha = 'abc' is not an exact rational"),
+    (["lc-keel", "--n", "7", "--alpha", "1/x", "--beta", "1/2"],
+     "alpha = '1/x' is not an exact rational"),
+    (["lc-keel", "--n", "7", "--alpha", "1/4", "--beta", "1/0"],
+     "beta = '1/0' is not an exact rational"),
+])
+def test_input_grammar_errors(argv, message):
+    code, out, err = invoke(argv + ["--json"])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
 def test_unknown_subcommand():
     code, _, err = invoke(["no-such-command"])
     assert code == 1

@@ -28,6 +28,16 @@ class TestLinearization:
         t = lin(*[F(1, 3)] * 6)
         assert ws.Linearization.from_json_dict(t.to_json_dict()) == t
 
+    @pytest.mark.parametrize("t", ["111111", {"1": "1/3"}, 2])
+    def test_t_must_be_a_list(self, t):
+        with pytest.raises(DomainError, match="^t must be a list"):
+            ws.Linearization.from_json_dict({"t": t})
+
+    def test_subset_sum_is_the_weight_datas(self):
+        t = lin(F(1, 2), F(1, 3), F(1, 2), F(2, 3))
+        assert t.subset_sum((1, 3)) == 1 and t.data.excess((1, 3)) == 0
+        assert t.subset_sum((2, 4)) == 1 and t.subset_sum((1, 2, 4)) == F(3, 2)
+
 
 class TestStability:
     def test_singletons_always_stable(self):

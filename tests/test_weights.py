@@ -45,6 +45,13 @@ class TestValidate:
     def test_genus_contributes_degree(self):
         ws.validate(2, [F(1, 10)])  # 2g-2 = 2 > 0 regardless of the weight
 
+    @pytest.mark.parametrize("weights", ["1111", {"1": 1, "2": 1, "3": 1},
+                                         5, None, iter([1, 1, 1])])
+    def test_weights_must_be_a_list(self, weights):
+        # a string would iterate by character and a mapping by its keys
+        with pytest.raises(DomainError, match="^a must be a list"):
+            ws.validate(0, weights)
+
     def test_bool_rejected(self):
         # bool is an int subclass; accepted, True would serialize as "true"
         with pytest.raises(DomainError):
@@ -102,6 +109,13 @@ class TestWalls:
 
     def test_guards(self):
         for genus, n in ((0, 2), (-1, 5), ("1", 5), (0, 0), (0, "5")):
+            with pytest.raises(DomainError):
+                ws.walls(genus, n, FINE)
+
+    def test_bool_genus_or_n_rejected(self):
+        # True would pass as 1, and would hit the memoized genus-1 entry
+        ws.walls(0, 4, FINE), ws.walls(1, 4, FINE), ws.walls(1, 1, FINE)
+        for genus, n in ((True, 4), (False, 4), (0, True), (1, True)):
             with pytest.raises(DomainError):
                 ws.walls(genus, n, FINE)
 
