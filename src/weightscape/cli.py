@@ -13,6 +13,7 @@ exceeded, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import curves, git, jsonio, logcanon, named, weights
@@ -31,6 +32,13 @@ class _UsageError(Exception):
     pass
 
 
+class _Payload(dict):
+    """A JSON object whose missing keys are input errors, not KeyErrors."""
+
+    def __missing__(self, key):
+        raise DomainError(f"the payload has no key {key!r}")
+
+
 def _read_payload(raw: str) -> dict:
     raw = raw.strip()
     if raw == "-":
@@ -41,7 +49,7 @@ def _read_payload(raw: str) -> dict:
         with open(raw, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        payload = jsonio.loads(text)
+        payload = json.loads(text, object_hook=_Payload)
     except ValueError as exc:
         raise DomainError(f"cannot parse JSON payload: {exc}")
     if not isinstance(payload, dict):
@@ -54,40 +62,23 @@ def _weight_arg(raw: str, mode=weights.Mode.ZERO_ALLOWED) -> weights.WeightData:
     return weights.validate(payload["genus"], payload["weights"], mode)
 
 
-def _granularity(name: str) -> weights.Granularity:
+def _keep_entry(text: str) -> int:
     try:
-        return weights.Granularity(name)
+        return int(text)
     except ValueError:
-        raise DomainError(f"granularity must be coarse or fine, got {name!r}")
-
-
-def _mode(name: str) -> weights.Mode:
-    table = {"strict": weights.Mode.STRICT, "zero": weights.Mode.ZERO_ALLOWED,
-             "boundary": weights.Mode.BOUNDARY}
-    if name not in table:
-        raise DomainError(f"mode must be one of {sorted(table)}, got {name!r}")
-    return table[name]
+        raise DomainError(f"--keep entry {text.strip()!r} is not an integer")
 
 
 def _render_table(payload, prefix="") -> list[str]:
+    items = ((k, payload[k]) for k in sorted(payload)) \
+        if isinstance(payload, dict) else enumerate(payload)
     lines = []
-    if isinstance(payload, dict):
-        for key in sorted(payload):
-            value = payload[key]
-            label = f"{prefix}{key}"
-            if isinstance(value, (dict, list)):
-                lines.extend(_render_table(value, label + "."))
-            else:
-                lines.append(f"{label}: {value}")
-    elif isinstance(payload, list):
-        for i, value in enumerate(payload):
-            label = f"{prefix}{i}"
-            if isinstance(value, (dict, list)):
-                lines.extend(_render_table(value, label + "."))
-            else:
-                lines.append(f"{label}: {value}")
-    else:
-        lines.append(f"{prefix.rstrip('.')}: {payload}")
+    for key, value in items:
+        label = f"{prefix}{key}"
+        if isinstance(value, (dict, list)):
+            lines.extend(_render_table(value, label + "."))
+        else:
+            lines.append(f"{label}: {value}")
     return lines
 
 
@@ -189,16 +180,17 @@ def _build_parser() -> _Parser:
 def _dispatch(args) -> dict:
     cmd = args.command
     if cmd == "validate":
-        data = _weight_arg(args.weights, _mode(args.mode))
+        data = _weight_arg(args.weights, weights.Mode(args.mode))
         return {"valid": True, "mode": args.mode, **data.to_json_dict()}
     if cmd == "walls":
-        found = weights.walls(args.genus, args.n, _granularity(args.granularity))
+        found = weights.walls(args.genus, args.n,
+                              weights.Granularity(args.granularity))
         return {"genus": args.genus, "n": args.n,
                 "granularity": args.granularity,
                 "count": len(found),
                 "walls": [sorted(w.subset) for w in found]}
     if cmd == "chambers":
-        granularity = _granularity(args.granularity)
+        granularity = weights.Granularity(args.granularity)
         chambers = weights.enumerate_chambers(
             args.genus, args.n, granularity,
             limit=args.limit, cache_dir=args.cache_dir)
@@ -206,7 +198,7 @@ def _dispatch(args) -> dict:
         return jsonio.loads(text)
     if cmd == "locate":
         data = _weight_arg(args.weights)
-        granularity = _granularity(args.granularity)
+        granularity = weights.Granularity(args.granularity)
         vec = weights.locate(data, granularity)
         wall_list = weights.walls(data.genus, data.n, granularity)
         return {"signs": vec.codes(),
@@ -226,7 +218,7 @@ def _dispatch(args) -> dict:
     if cmd == "forget":
         tree = curves.MarkedTree.from_json_dict(_read_payload(args.tree))
         a = _weight_arg(args.weights)
-        keep = [int(v) for v in args.keep.split(",") if v.strip()]
+        keep = [_keep_entry(v) for v in args.keep.split(",") if v.strip()]
         return curves.forget(tree, a, keep).to_json_dict()
     if cmd == "strata":
         data = _weight_arg(args.weights, weights.Mode.STRICT)
@@ -320,10 +312,10 @@ def run(argv=None, out=None, err=None) -> int:
     except LimitExceeded as exc:
         err.write(f"limit exceeded: {exc}\n")
         return 2
-    except InternalInvariantError as exc:
+    except (InternalInvariantError, KeyError) as exc:
         err.write(f"internal invariant breach: {exc}\n")
         return 3
-    except (DomainError, WeightscapeError, OSError, KeyError) as exc:
+    except (DomainError, WeightscapeError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1
 

@@ -106,13 +106,38 @@ class MarkedTree:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "MarkedTree":
+        """Parse the `to_json_dict` format.  Ids, genera and markings must
+        be integers (not bools); `node_supported`, when given, must hold
+        one bool per class."""
         vertices = []
-        for entry in payload["vertices"]:
-            flags = entry.get("node_supported") or [False] * len(entry["classes"])
-            classes = [MarkClass(frozenset(members), bool(flag))
-                       for members, flag in zip(entry["classes"], flags)]
-            vertices.append((entry["id"], entry["genus"], classes))
-        return marked_tree(vertices, [tuple(e) for e in payload["edges"]])
+        for entry in _listed(payload["vertices"], "vertices", dict):
+            classes = _listed(entry["classes"], "classes", list)
+            flags = _listed(entry.get("node_supported", [False] * len(classes)),
+                            "node_supported", bool, len(classes))
+            vertices.append((_integer(entry["id"], "vertex id"),
+                             _integer(entry["genus"], "genus"),
+                             [MarkClass(frozenset(_integer(m, "marking")
+                                                  for m in members), flag)
+                              for members, flag in zip(classes, flags)]))
+        return marked_tree(vertices, [
+            [_integer(x, "edge end") for x in _listed(e, "an edge", int, 2)]
+            for e in _listed(payload["edges"], "edges", list)])
+
+
+def _listed(value, name: str, kind: type,
+            length: Optional[int] = None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)) or \
+            not all(isinstance(x, kind) for x in value):
+        size = "" if length is None else f"{length} "
+        raise DomainError(f"{name} must be a list of {size}{kind.__name__}s, "
+                          f"got {value!r}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def mark_class(markings: Iterable[int], node_supported: bool = False) -> MarkClass:
@@ -178,61 +203,59 @@ def _check_tree(tree: MarkedTree):
         raise DomainError("the dual graph must be connected")
 
 
-def _subtree_keys(tree: MarkedTree, what: str):
-    """Root, adjacency, vertex table and every subtree's key (genus, sorted
-    classes, sorted child keys), rooted at the smallest marking."""
+def canonical_key(tree: MarkedTree):
+    """Order-insensitive structure key (genus, sorted classes, sorted child
+    keys) for genus-0 marked trees, rooted at the smallest marking.
+
+    Marked trees with labeled markings have no nontrivial automorphisms,
+    so this is a complete isomorphism invariant.
+    """
     if tree.betti != 0 or any(a == b for a, b in tree.edges):
-        raise DomainError(f"canonical {what} are defined for trees only")
+        raise DomainError("canonical keys and forms are defined for trees only")
     lowest = min(tree.markings, default=None)
     if lowest is None:
         raise DomainError("canonical rooting needs at least one marking")
-    root = next(v.id for v in tree.vertices
-                if any(lowest in c.markings for c in v.classes))
     by_id = {v.id: v for v in tree.vertices}
     adj: dict[int, list[int]] = {vid: [] for vid in by_id}
     for a, b in tree.edges:
         adj[a].append(b)
         adj[b].append(a)
-    keys = {}
 
-    def ser(vid, parent):
+    def key(vid, parent):
         v = by_id[vid]
-        cls = tuple(sorted((tuple(sorted(c.markings)), c.node_supported)
-                           for c in v.classes))
-        kids = tuple(sorted(ser(u, vid) for u in adj[vid] if u != parent))
-        keys[vid] = (v.genus, cls, kids)
-        return keys[vid]
+        return (v.genus,
+                tuple(sorted((tuple(sorted(c.markings)), c.node_supported)
+                             for c in v.classes)),
+                tuple(sorted(key(u, vid) for u in adj[vid] if u != parent)))
 
-    ser(root, None)
-    return root, adj, by_id, keys
+    return key(next(v.id for v in tree.vertices
+                    if any(lowest in c.markings for c in v.classes)), None)
 
 
-def canonical_key(tree: MarkedTree):
-    """Order-insensitive structure key for genus-0 marked trees.
+def _tree_of_key(key, shared: dict) -> MarkedTree:
+    """The tree a canonical key describes: ids 1..k in preorder, children in
+    key order.  `shared` maps each class key to the one MarkClass that every
+    tree built with it reuses."""
+    vertices, edges = [], []
 
-    Marked trees with labeled markings have no nontrivial automorphisms,
-    so rooting at the vertex holding the smallest marking and sorting
-    child serializations gives a complete isomorphism invariant.
-    """
-    root, _, _, keys = _subtree_keys(tree, "keys")
-    return keys[root]
+    def build(node):
+        nid = len(vertices) + 1
+        genus, classes, kids = node
+        for c in classes:
+            if c not in shared:
+                shared[c] = MarkClass(frozenset(c[0]), c[1])
+        vertices.append((nid, genus, [shared[c] for c in classes]))
+        for kid in kids:
+            edges.append((nid, build(kid)))
+        return nid
+
+    build(key)
+    return marked_tree(vertices, edges)
 
 
 def canonical_form(tree: MarkedTree) -> MarkedTree:
     """Isomorphic copy with vertex ids 1..k assigned in canonical order."""
-    root, adj, by_id, keys = _subtree_keys(tree, "forms")
-    new_vertices, new_edges = [], []
-
-    def walk(vid, parent):
-        nid = len(new_vertices) + 1
-        v = by_id[vid]
-        new_vertices.append((nid, v.genus, v.classes))
-        for _, u in sorted((keys[u], u) for u in adj[vid] if u != parent):
-            new_edges.append((nid, walk(u, vid)))
-        return nid
-
-    walk(root, None)
-    return marked_tree(new_vertices, new_edges)
+    return _tree_of_key(canonical_key(tree), {})
 
 
 def _integer_weights(weights: WeightsLike) -> tuple[dict[int, int], int]:
@@ -496,55 +519,54 @@ class Stratum:
     codimension: int
 
 
-def _degenerations(tree: MarkedTree, data: WeightData):
-    """One-step degenerations: merge two classes at a vertex, or split a
-    vertex into two joined by a new edge.  Candidates that cannot be stable
-    when `tree` is are skipped unbuilt: a merge within the class bound
-    changes no log degree, and a split changes only its two halves'.  So a
-    stable tree yields exactly its stable degenerations."""
-    nums, den = data.scaled
-    valence = _valences(tree.vertex_ids, tree.edges)
-    weights = {v.id: [sum(nums[m] for m in c.markings) for c in v.classes]
-               for v in tree.vertices}
-    # class merges
-    for v in tree.vertices:
-        for i, j in combinations(range(len(v.classes)), 2):
-            if weights[v.id][i] + weights[v.id][j] > den:
-                continue
-            classes = [c for k, c in enumerate(v.classes) if k not in (i, j)]
-            classes.append(MarkClass(
-                v.classes[i].markings | v.classes[j].markings, False))
-            vertices = [(u.id, u.genus,
-                         classes if u.id == v.id else list(u.classes))
-                        for u in tree.vertices]
-            yield marked_tree(vertices, tree.edges)
-    # vertex splits; v's parts (classes, then incident edges) each carry a
-    # share of den * log degree to the new side
-    new_id = max(valence) + 1
-    for v in tree.vertices:
-        incident = [i for i, e in enumerate(tree.edges) if v.id in e]
-        shares = weights[v.id] + [den] * len(incident)
-        degree = _log_degree(v.genus, valence[v.id], sum(weights[v.id]), den)
-        # part 0 pinned to the surviving side; swapping sides is an
-        # isomorphism, so this halves the enumeration without loss
-        for mask in range(2, 1 << len(shares), 2):
-            side = [mask >> p & 1 for p in range(len(shares))]
-            moved = sum(share for share, s in zip(shares, side) if s)
-            # new vertex: moved - den, rest of v: degree - moved + den
-            if not den < moved < degree + den:
-                continue
-            classes = ([], [])
-            for c, s in zip(v.classes, side):
-                classes[s].append(c)
-            away = {i for i, s in zip(incident, side[len(v.classes):]) if s}
-            edges = [(new_id, y if x == v.id else x) if i in away else (x, y)
-                     for i, (x, y) in enumerate(tree.edges)]
-            edges.append((v.id, new_id))
-            vertices = [(u.id, u.genus,
-                         classes[0] if u.id == v.id else list(u.classes))
-                        for u in tree.vertices]
-            vertices.append((new_id, 0, classes[1]))
-            yield marked_tree(vertices, edges)
+def _stratum_keys(nums: Mapping[int, int], den: int, max_codim: int):
+    """(codimension, canonical key) of every stable genus-0 tree up to
+    codimension `max_codim`, each exactly once, in sorted order.
+
+    A vertex's contents are a set partition of its markings into classes
+    (numerator sum at most den) and subtrees, each below one new edge.  The
+    first block always holds the smallest unplaced marking, so every
+    unordered collection is met once; the root holds marking 1 in a class.
+    A class of size s costs s - 1 toward the codimension and an edge 1.
+    """
+    memo: dict = {}
+
+    def forests(rest, budget, lead):
+        """(cost, classes, child keys, class weight) per partition of rest.
+        Its first block is a class when lead is 0, a class or a subtree
+        short of all of rest when lead is 1, and either when lead is 2."""
+        if not rest:
+            yield 0, (), (), 0
+            return
+        first, others = rest[0], rest[1:]
+        for size in range(len(others) + 1):
+            for extra in combinations(others, size):
+                block = (first,) + extra
+                left = tuple(m for m in others if m not in extra)
+                weight = sum(nums[m] for m in block)
+                options = [(size, ((block, False),), (), weight)] \
+                    if weight <= den and size <= budget else []
+                if lead == 2 or lead == 1 and left:
+                    options += [(cost, (), (key,), 0)
+                                for cost, key in subtrees(block, budget)]
+                for cost, classes, kids, w in options:
+                    for more in forests(left, budget - cost, 2):
+                        yield (cost + more[0], classes + more[1],
+                               kids + more[2], w + more[3])
+
+    def vertices(block, budget, hanging):
+        """(cost, key) of each stable vertex on block; hanging is 1 below an
+        edge, which the cost then counts, and 0 at the root."""
+        return [(cost + hanging, (0, classes, tuple(sorted(kids))))
+                for cost, classes, kids, weight in forests(block, budget, hanging)
+                if _log_degree(0, len(kids) + hanging, weight, den) > 0]
+
+    def subtrees(block, budget):
+        if budget >= 1 and (block, budget) not in memo:
+            memo[block, budget] = vertices(block, budget - 1, 1)
+        return memo.get((block, budget), ())
+
+    return sorted(vertices(tuple(sorted(nums)), max_codim, 0))
 
 
 def enumerate_strata(data: WeightData, max_codim: int, *,
@@ -554,29 +576,14 @@ def enumerate_strata(data: WeightData, max_codim: int, *,
     data = validate(data.genus, data.weights, Mode.STRICT)
     if data.genus != 0:
         raise DomainError("stratum enumeration is implemented for genus 0")
+    if _integer(max_codim, "max_codim") < 0:
+        raise DomainError(f"max_codim must be nonnegative, got {max_codim}")
     cap = DEFAULT_ENUM_LIMIT if limit is None else limit
     if data.n > cap:
         raise LimitExceeded(f"n = {data.n} exceeds the enumeration limit {cap}")
-    root = marked_tree(
-        [(1, 0, [mark_class([m]) for m in range(1, data.n + 1)])], [])
-    if not _stability(root, *data.scaled):
-        raise InternalInvariantError("the open stratum is always stable")
-    strata = [Stratum(root, 0)]
-    level = {canonical_key(root): root}
-    for codim in range(1, max_codim + 1):
-        nxt: dict = {}
-        for tree in level.values():
-            # every tree in `level` is stable, so each candidate is too
-            for candidate in _degenerations(tree, data):
-                key = canonical_key(candidate)
-                if key not in nxt:
-                    nxt[key] = canonical_form(candidate)
-        level = nxt
-        strata.extend(Stratum(t, codim)
-                      for _, t in sorted(level.items(), key=lambda kv: kv[0]))
-        if not level:
-            break
-    return tuple(strata)
+    shared: dict = {}
+    return tuple(Stratum(_tree_of_key(key, shared), codim)
+                 for codim, key in _stratum_keys(*data.scaled, max_codim))
 
 
 class DivisorKind(Enum):

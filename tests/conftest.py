@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 import weightscape as ws
-from weightscape.curves import MarkClass, Stratum, _degenerations
+from weightscape.curves import MarkClass, Stratum
 from weightscape.ratcore import _apply_equalities, _split_rows
 from weightscape.weights import Mode
 
@@ -49,7 +49,7 @@ def random_stable_tree(rng, data, max_steps=None):
         [(1, 0, [[m] for m in range(1, data.n + 1)])], [])
     steps = rng.randint(0, max_steps if max_steps is not None else data.n - 3)
     for _ in range(steps):
-        options = [c for c in _degenerations(tree, data)
+        options = [c for c in unpruned_degenerations(tree, data)
                    if ws.is_stable(c, data)]
         if not options:
             break
@@ -195,8 +195,8 @@ def fraction_log_degree(tree, vid, wmap):
 
 
 def unpruned_degenerations(tree, data):
-    """Every one-step degeneration, stable or not, built in the order
-    `_degenerations` yields its (stable) candidates."""
+    """Every one-step degeneration, stable or not: merges of two classes
+    within the class bound, then splits of one vertex into two."""
     for v in tree.vertices:
         for i, j in combinations(range(len(v.classes)), 2):
             merged = v.classes[i].markings | v.classes[j].markings

@@ -63,6 +63,18 @@ def test_inexact_entry_is_domain_error(argv, entry):
     assert err.startswith(f"error: {entry} = ") and "Traceback" not in err
 
 
+def _tree4(edges=(), **vertex):
+    """A one-vertex tree payload on markings 1..4, with vertex fields
+    overridden."""
+    entry = {"id": 1, "genus": 0, "classes": [[1], [2], [3], [4]], **vertex}
+    return {"vertices": [entry], "edges": list(edges)}
+
+
+def _stabilize4(tree):
+    return ["stabilize", "--weights", W4, "--target", W4,
+            "--tree", json.dumps(tree)]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["validate", "--weights", '{"genus":0,"weights":"1111"}'],
      "a must be a list"),
@@ -79,11 +91,47 @@ def test_inexact_entry_is_domain_error(argv, entry):
      "alpha = '1/x' is not an exact rational"),
     (["lc-keel", "--n", "7", "--alpha", "1/4", "--beta", "1/0"],
      "beta = '1/0' is not an exact rational"),
+    (["validate", "--weights", '{"weights":[1,1,1]}'],
+     "the payload has no key 'genus'"),
+    (_stabilize4({"vertices": [{"id": 1, "genus": 0,
+                                "classes": [[1], [2], [3], [4]]}]}),
+     "the payload has no key 'edges'"),
+    (_stabilize4(_tree4(node_supported=[False] * 3)),
+     "node_supported must be a list of 4 bools"),
+    (_stabilize4(_tree4(node_supported=[0] * 4)),
+     "node_supported must be a list of 4 bools"),
+    (_stabilize4(_tree4(id="a")), "vertex id must be an integer"),
+    (_stabilize4(_tree4(id=True)), "vertex id must be an integer"),
+    (_stabilize4(_tree4(genus=True)), "genus must be an integer"),
+    (_stabilize4(_tree4(classes=[[1.7], [2], [3], [4]])),
+     "marking must be an integer"),
+    (_stabilize4(_tree4(classes=[[1], [2], [3], 4])),
+     "classes must be a list of lists"),
+    (_stabilize4({"vertices": [5], "edges": []}),
+     "vertices must be a list of dicts"),
+    (_stabilize4(_tree4(edges=[[1, 1, 1]])),
+     "an edge must be a list of 2 ints"),
+    (["forget", "--weights", W4, "--tree", json.dumps(_tree4()),
+      "--keep", "1,a"], "--keep entry 'a' is not an integer"),
+    (["strata", "--weights", W4, "--max-codim", "-1"],
+     "max_codim must be nonnegative"),
 ])
 def test_input_grammar_errors(argv, message):
     code, out, err = invoke(argv + ["--json"])
     assert code == 1 and out == ""
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+def test_library_key_error_is_internal(monkeypatch):
+    from weightscape import curves
+
+    def broken(data):
+        raise KeyError(7)
+
+    monkeypatch.setattr(curves, "boundary_divisors", broken)
+    code, out, err = invoke(["boundary", "--weights", W4])
+    assert code == 3 and out == ""
+    assert err.startswith("internal invariant breach")
 
 
 def test_unknown_subcommand():

@@ -531,6 +531,48 @@ class TestCanonicalForm:
             assert ws.canonical_key(tree) == ws.canonical_key(other)
             assert ws.canonical_form(tree) == ws.canonical_form(other)
 
+    def test_relabel_invariance_with_genus_and_node_support(self, rng):
+        """Raised genera, node-supported classes and two identical unmarked
+        genus-1 leaves, whose sibling keys tie."""
+        for _ in range(40):
+            tree = random_stable_tree(rng, random_weight_data(
+                rng, rng.randint(3, 7)))
+            new = max(tree.vertex_ids) + 1
+            anchor = rng.choice(tree.vertex_ids)
+            vertices = [(v.id, rng.randint(0, 2),
+                         [ws.mark_class(c.markings, rng.random() < 0.5)
+                          for c in v.classes]) for v in tree.vertices]
+            decorated = ws.marked_tree(
+                vertices + [(new, 1, []), (new + 1, 1, [])],
+                list(tree.edges) + [(anchor, new), (anchor, new + 1)])
+            form = ws.canonical_form(decorated)
+            assert form.vertex_ids == tuple(range(1, len(form.vertices) + 1))
+            assert ws.canonical_form(form) == form
+            for _ in range(3):
+                other = relabel_tree(decorated, rng)
+                assert ws.canonical_key(other) == ws.canonical_key(decorated)
+                assert ws.canonical_form(other) == form
+
+    def test_form_of_tied_genus_one_leaves(self):
+        tree = ws.marked_tree(
+            [(5, 0, [[4], ws.mark_class([1, 3], True)]), (9, 1, []),
+             (3, 1, []), (2, 2, [ws.mark_class([2], True), [6]]),
+             (7, 0, [[5]])],
+            [(5, 9), (5, 3), (2, 5), (7, 2)])
+        assert ws.canonical_form(tree).to_json_dict() == {
+            "vertices": [
+                {"id": 1, "genus": 0, "classes": [[1, 3], [4]],
+                 "node_supported": [True, False]},
+                {"id": 2, "genus": 1, "classes": [], "node_supported": []},
+                {"id": 3, "genus": 1, "classes": [], "node_supported": []},
+                {"id": 4, "genus": 2, "classes": [[2], [6]],
+                 "node_supported": [True, False]},
+                {"id": 5, "genus": 0, "classes": [[5]],
+                 "node_supported": [False]}],
+            "edges": [[1, 2], [1, 3], [1, 4], [4, 5]]}
+        key = ws.canonical_key(tree)
+        assert key[2][0] == key[2][1] == (1, (), ())
+
     def test_rejects_loops(self):
         loop = ws.marked_tree([(1, 0, [[1], [2]])], [(1, 1)])
         with pytest.raises(DomainError):

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weightscape as ws
-from weightscape.curves import MarkClass, _degenerations
+from weightscape.curves import MarkClass
 from weightscape.errors import DomainError
 from weightscape.weights import Mode
 
 from conftest import (fraction_is_stable, fraction_log_degree,
-                      random_stable_tree, random_weight_data,
-                      unpruned_degenerations, unpruned_strata)
+                      random_stable_tree, random_weight_data, unpruned_strata)
 
 F = Fraction
 
@@ -132,34 +131,27 @@ def test_dict_weights_accept_rational_strings():
     assert ws.is_stable(tree, weights).degree_violations == ((2, F(0)),)
 
 
-def test_degenerations_yield_exactly_the_stable_candidates():
-    """From a stable tree the pruned generator yields the same stable
-    candidates, in the same order, as building every candidate."""
-    rng = random.Random(31)
-    for trial in range(40):
-        data = random_weight_data(rng, 4 + trial % 4)
-        tree = random_stable_tree(rng, data)
-        pruned = list(_degenerations(tree, data))
-        full = [c for c in unpruned_degenerations(tree, data)
-                if fraction_is_stable(c, data)]
-        assert pruned == full
-
-
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_enumerate_strata_matches_unpruned_search(n):
+    """At every codimension bound, since the generator prunes by it."""
     rng = random.Random(400 + n)
-    for _ in range(4):
-        data = random_weight_data(rng, n)
-        assert ws.enumerate_strata(data, n - 3) == \
-            unpruned_strata(data, n - 3)
-    unit = ws.validate(0, [1] * n)
-    assert ws.enumerate_strata(unit, n - 3) == unpruned_strata(unit, n - 3)
+    for data in [random_weight_data(rng, n) for _ in range(4)] + \
+            [ws.validate(0, [1] * n)]:
+        for max_codim in range(n - 2):
+            assert ws.enumerate_strata(data, max_codim) == \
+                unpruned_strata(data, max_codim)
+
+
+@pytest.mark.parametrize("max_codim", [-1, 1.0, 0.5, True, "1", None])
+def test_enumerate_strata_rejects_bad_max_codim(max_codim):
+    with pytest.raises(DomainError, match="max_codim"):
+        ws.enumerate_strata(ws.validate(0, [1] * 5), max_codim)
 
 
 def test_unit_weight_counts_follow_oeis_a000311():
     # A000311(n-1): Schroeder's fourth problem, the number of boundary
     # strata of the Deligne-Mumford space of n-pointed genus-0 curves
-    expected = {3: 1, 4: 4, 5: 26, 6: 236, 7: 2752}
+    expected = {3: 1, 4: 4, 5: 26, 6: 236, 7: 2752, 8: 39208}
     for n, count in expected.items():
         assert len(ws.enumerate_strata(ws.validate(0, [1] * n), n - 3)) \
             == count
