@@ -28,12 +28,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import (DomainError, InternalInvariantError, LimitExceeded,
+from .errors import (DomainError, InternalInvariantError,
                      NonterminatingContraction, NotAStable,
                      ResidualDegreeNotPositive, UnequalWeightsInBlock,
                      WeightsNotDominated)
-from .weights import (DEFAULT_ENUM_LIMIT, Mode, WeightData, integer_scaled,
-                      validate)
+from .weights import (Mode, WeightData, _check_limit, _integer, _listed,
+                      integer_scaled, validate)
 
 WeightsLike = Union[WeightData, Mapping[int, Fraction]]
 
@@ -122,22 +122,6 @@ class MarkedTree:
         return marked_tree(vertices, [
             [_integer(x, "edge end") for x in _listed(e, "an edge", int, 2)]
             for e in _listed(payload["edges"], "edges", list)])
-
-
-def _listed(value, name: str, kind: type,
-            length: Optional[int] = None) -> list:
-    if not isinstance(value, list) or length not in (None, len(value)) or \
-            not all(isinstance(x, kind) for x in value):
-        size = "" if length is None else f"{length} "
-        raise DomainError(f"{name} must be a list of {size}{kind.__name__}s, "
-                          f"got {value!r}")
-    return value
-
-
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def mark_class(markings: Iterable[int], node_supported: bool = False) -> MarkClass:
@@ -578,9 +562,7 @@ def enumerate_strata(data: WeightData, max_codim: int, *,
         raise DomainError("stratum enumeration is implemented for genus 0")
     if _integer(max_codim, "max_codim") < 0:
         raise DomainError(f"max_codim must be nonnegative, got {max_codim}")
-    cap = DEFAULT_ENUM_LIMIT if limit is None else limit
-    if data.n > cap:
-        raise LimitExceeded(f"n = {data.n} exceeds the enumeration limit {cap}")
+    _check_limit(data.n, limit)
     shared: dict = {}
     return tuple(Stratum(_tree_of_key(key, shared), codim)
                  for codim, key in _stratum_keys(*data.scaled, max_codim))

@@ -19,8 +19,8 @@ from typing import Iterable
 from .errors import (AtypicalLinearization, DomainError, DomainViolation,
                      InternalInvariantError)
 from .ratcore import rat_str
-from .weights import (Granularity, Mode, WeightData, locate, rationals,
-                      validate)
+from .weights import (Granularity, Mode, WeightData, _integer, _listed,
+                      locate, rationals, validate)
 
 _ONE = Fraction(1)
 _TWO = Fraction(2)
@@ -72,9 +72,11 @@ class ConfigType:
             raise DomainError("configuration classes must cover 1..n")
 
     @classmethod
-    def make(cls, classes: Iterable[Iterable[int]]) -> "ConfigType":
-        normalized = sorted((frozenset(int(i) for i in c) for c in classes),
-                            key=min)
+    def make(cls, classes: list[list[int]]) -> "ConfigType":
+        """Parse a list of lists of integer markings (not bools)."""
+        normalized = sorted((frozenset(_integer(m, "marking") for m in c)
+                             for c in _listed(classes, "classes", list)),
+                            key=sorted)
         return cls(tuple(normalized))
 
     @property

@@ -10,11 +10,20 @@ equalities is decided by Fourier-Motzkin elimination on integer rows,
 with `Fraction` only at the edges: equalities are rewritten as
 substitutions first, then the remaining variables are eliminated in index
 order, propagating a strictness flag (the sum of a strict and a
-non-strict bound is strict).  Redundant rows are pruned by pairwise
-dominance among parallel constraints only.  Interior points are
-reconstructed deterministically by back-substitution through the
-elimination order, taking the midpoint of each feasible interval; without
-equalities a point depends on the solution set only, not on its rows.
+non-strict bound is strict).  The elimination is kept as stages, one per
+variable: a stage maps the primitive direction of each row involving its
+variable to the tightest such row (parallel rows are pruned by dominance
+only).  `_extend` adds rows to stages: a row that tightens a stage meets
+that stage's opposite-sign rows, each pair once, and only those
+combinations and the rows free of the variable enter the next stage, so
+a search adding one row at a time pays for the new pairs only.
+
+Interior points are reconstructed deterministically by back-substitution
+through the stages (`_point`), taking the midpoint of each feasible
+interval.  Each interval is a fiber of a projection of the solution set,
+so without equalities a point depends on the solution set only: rows an
+incremental stage keeps beyond a from-scratch one (combinations of a row
+later displaced by a tighter parallel one) are implied and move no limit.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, DomainError, InternalInvariantError
@@ -186,54 +196,72 @@ def _apply_equalities(ineqs, eqs):
     return ineqs, subs
 
 
-def _prune(rows):
-    """Drop satisfied variable-free rows, keep the tightest of parallel rows
-    (bounds compared by cross-multiplying); None when a variable-free row
-    is violated.  Each row is divided by the gcd of its entries."""
-    kept: dict[tuple[int, ...], tuple] = {}
-    for coeffs, bound, strict in rows:
-        scale = gcd(*coeffs)
-        if scale == 0:
-            if bound < 0 or (strict and bound == 0):
-                return None
-            continue
-        common = gcd(scale, bound)
-        if common > 1:
-            coeffs = tuple([c // common for c in coeffs])
-            bound //= common
-            scale //= common
-        # coeffs == scale * key, so the row reads key . x REL bound / scale
-        key = coeffs if scale == 1 else tuple([c // scale for c in coeffs])
-        prev = kept.get(key)
-        if prev is not None:
-            mine, theirs = bound * prev[3], prev[1] * scale
-            if mine > theirs or (mine == theirs and (prev[2] or not strict)):
+def _extend(stages, rows):
+    """`stages` with `rows` added, or None when a variable-free row is
+    violated; the given stages are left as they are.  A stage is (var,
+    kept), each row of kept stored as (coeffs, bound, strict, scale) with
+    coeffs == scale * its direction and divided by the gcd of its entries.
+    """
+    extended = []
+    for var, kept in stages:
+        fresh = {}
+        down = []
+        for row in rows:
+            coeffs, bound, strict = row
+            if not coeffs[var]:
+                if any(coeffs):
+                    down.append(row)
+                elif bound < 0 or (strict and bound == 0):
+                    return None
                 continue
-        kept[key] = (coeffs, bound, strict, scale)
-    return [row[:3] for row in kept.values()]
-
-
-def _eliminate(rows, var):
-    uppers, lowers, rest = [], [], []
-    for row in rows:
-        c = row[0][var]
-        if c > 0:
-            uppers.append(row)
-        elif c < 0:
-            lowers.append(row)
-        else:
-            rest.append(row)
-    out = rest
-    for uc, ub, us in uppers:
-        for lc, lb, ls in lowers:
-            mu, ml = -lc[var], uc[var]
-            common = gcd(mu, ml)
+            scale = gcd(*coeffs)
+            common = gcd(scale, bound)
             if common > 1:
-                mu //= common
-                ml //= common
-            coeffs = tuple([mu * u + ml * lv for u, lv in zip(uc, lc)])
-            out.append((coeffs, mu * ub + ml * lb, us or ls))
-    return out
+                coeffs = tuple([c // common for c in coeffs])
+                bound //= common
+                scale //= common
+            key = coeffs if scale == 1 else tuple([c // scale for c in coeffs])
+            prev = kept.get(key)
+            if prev is not None:
+                mine, theirs = bound * prev[3], prev[1] * scale
+                if mine > theirs or (mine == theirs and (prev[2] or not strict)):
+                    continue
+            if not fresh:  # the first change here copies the stage
+                kept = dict(kept)
+            kept[key] = fresh[key] = (coeffs, bound, strict, scale)
+        if fresh:
+            lowers = [r for r in kept.values() if r[0][var] < 0]
+            uppers = [r for key, r in kept.items()
+                      if r[0][var] > 0 and key not in fresh]
+            for row in fresh.values():
+                # a new upper meets every lower, a new lower the old uppers
+                pairs = ((row, low) for low in lowers) if row[0][var] > 0 \
+                    else ((up, row) for up in uppers)
+                for (uc, ub, us, _), (lc, lb, ls, _) in pairs:
+                    mu, ml = -lc[var], uc[var]
+                    down.append((tuple([mu * u + ml * lv
+                                        for u, lv in zip(uc, lc)]),
+                                 mu * ub + ml * lb, us or ls))
+        extended.append((var, kept))
+        rows = down
+    # every stage variable is gone, so each remaining row is variable-free
+    for _, bound, strict in rows:
+        if bound < 0 or (strict and bound == 0):
+            return None
+    return tuple(extended)
+
+
+def _stages(variables):
+    """No rows yet, eliminating `variables` in this order."""
+    return tuple((v, {}) for v in variables)
+
+
+def _point(stages, dimension: int) -> list:
+    """Back-substitution through the stages, the last variable first."""
+    values: list[Optional[Fraction]] = [None] * dimension
+    for var, kept in reversed(stages):
+        values[var] = _pick_value(var, kept.values(), values)
+    return values
 
 
 def _solve_rows(dimension: int, ineqs, eqs, want_point: bool):
@@ -246,23 +274,14 @@ def _solve_rows(dimension: int, ineqs, eqs, want_point: bool):
         return False, None
     rows, subs = pivoted
     sub_vars = {p for p, _, _ in subs}
-    order = [v for v in range(dimension) if v not in sub_vars]
-
-    stages = []
-    rows = _prune(rows)
-    if rows is None:
+    stages = _extend(_stages(v for v in range(dimension) if v not in sub_vars),
+                     rows)
+    if stages is None:
         return False, None
-    for v in order:
-        stages.append((v, rows))
-        rows = _prune(_eliminate(rows, v))
-        if rows is None:
-            return False, None
     if not want_point:
         return True, None
 
-    values: list[Optional[Fraction]] = [None] * dimension
-    for v, staged in reversed(stages):
-        values[v] = _pick_value(v, staged, values)
+    values = _point(stages, dimension)
     for pivot, eq_coeffs, eq_const in reversed(subs):
         acc = Fraction(eq_const)
         for i, e in enumerate(eq_coeffs):
@@ -281,8 +300,8 @@ def _solve(system: ConstraintSystem, want_point: bool):
 
 
 def _pick_value(var, rows, values):
-    """Midpoint of the interval the staged rows leave for x_var once the
-    later variables are fixed; one Fraction is built, for the result.
+    """Midpoint of the interval the rows of x_var's stage leave for it once
+    the later variables are fixed; one Fraction is built, for the result.
 
     A row bounds x_var by (bound * den - coeffs . nums) / (c_var * den),
     with nums / den the fixed values over their common denominator; every
@@ -291,15 +310,8 @@ def _pick_value(var, rows, values):
     den = lcm(*(v.denominator for v in values if v is not None))
     nums = [0 if v is None else v.numerator * (den // v.denominator)
             for v in values]
-    limits = []
-    for coeffs, bound, strict in rows:
-        cv = coeffs[var]
-        if cv:
-            acc = bound * den
-            for c, x in zip(coeffs, nums):
-                if x:
-                    acc -= c * x
-            limits.append((acc, cv, strict))
+    limits = [(bound * den - sum(map(mul, coeffs, nums)), coeffs[var], strict)
+              for coeffs, bound, strict, _ in rows]
     scale = lcm(*(cv for _, cv, _ in limits))
     d = den * scale
     # the least upper and the greatest lower limit; on a tie the strict one

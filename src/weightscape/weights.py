@@ -23,7 +23,7 @@ from . import jsonio
 from .errors import (BoundarySumMismatch, DegreeNotPositive, DomainError,
                      InternalInvariantError, LimitExceeded, OnWall,
                      WeightOutOfRange)
-from .ratcore import Fraction, rat_str, rational, _solve_rows
+from .ratcore import Fraction, rat_str, rational, _extend, _point, _stages
 
 DEFAULT_ENUM_LIMIT = 8
 CACHE_ENV_VAR = "WEIGHTSCAPE_CACHE"
@@ -96,6 +96,22 @@ def rationals(values, name: str) -> tuple[Fraction, ...]:
                           f"got {values!r}")
     return tuple(rational(v, f"{name}_{i}")
                  for i, v in enumerate(values, start=1))
+
+
+def _listed(value, name: str, kind: type,
+            length: Optional[int] = None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)) or \
+            not all(isinstance(x, kind) for x in value):
+        size = "" if length is None else f"{length} "
+        raise DomainError(f"{name} must be a list of {size}{kind.__name__}s, "
+                          f"got {value!r}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def validate(genus, weights, mode: Mode = Mode.STRICT) -> WeightData:
@@ -244,6 +260,16 @@ def _chambers_from_payload(payload, genus, n, granularity) -> tuple[Chamber, ...
     return tuple(out)
 
 
+def _check_limit(n: int, limit: Optional[int]) -> None:
+    """Raise LimitExceeded when n exceeds `limit` (DEFAULT_ENUM_LIMIT when
+    None); a limit that is no nonnegative integer is a DomainError."""
+    cap = DEFAULT_ENUM_LIMIT if limit is None else _integer(limit, "limit")
+    if cap < 0:
+        raise DomainError(f"limit must be nonnegative, got {cap}")
+    if n > cap:
+        raise LimitExceeded(f"n = {n} exceeds the enumeration limit {cap}")
+
+
 def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
                        limit: Optional[int] = None,
                        cache_dir: Optional[str] = None) -> tuple[Chamber, ...]:
@@ -254,9 +280,7 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     `cache_dir` (or $WEIGHTSCAPE_CACHE); cache hits are byte-identical to
     recomputation.
     """
-    cap = DEFAULT_ENUM_LIMIT if limit is None else limit
-    if n > cap:
-        raise LimitExceeded(f"n = {n} exceeds the enumeration limit {cap}")
+    _check_limit(n, limit)
     cache_dir = cache_dir or os.environ.get(CACHE_ENV_VAR)
     if cache_dir:
         path = _chamber_cache_path(cache_dir, genus, n, granularity)
@@ -297,47 +321,41 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     chambers: list[Chamber] = []
     signs: list[Position] = []
 
-    # Depth-first sign assignment with an inherited interior witness: the
-    # branch containing the witness is feasible for free, only the other
-    # side pays for an elimination run.  An implied sign adds no row, so
-    # the polyhedron and the point the solver picks stay the same; `solved`
-    # says the witness is already the solver's point for the current rows.
-    def descend(index: int, witness: WeightData, solved: bool):
+    # Depth-first sign assignment.  `stages` holds the elimination of the
+    # domain rows and the rows of the signs so far: each side of a wall
+    # extends it by one row, and a side whose extension is infeasible is
+    # cut.  An implied sign adds no row, so the polyhedron stays the same.
+    # A leaf back-substitutes once, which gives the point that elimination
+    # from scratch would pick, since that depends on the polyhedron only.
+    def descend(index: int, stages):
         if index == len(wall_list):
-            if not solved:
-                feasible, point = _solve_rows(n, rows, [], True)
-                if not feasible:
-                    raise InternalInvariantError(
-                        "witnessed chamber is infeasible")
-                witness = WeightData(genus, point)
-            rep = validate(genus, witness.weights, Mode.ZERO_ALLOWED)
             vec = SignVector(genus, n, granularity, tuple(signs))
+            rep = WeightData(genus, tuple(_point(stages, n)))
+            nums, den = rep.scaled
+            if not all(0 < x <= den for x in nums.values()) or \
+                    (2 * genus - 2) * den + sum(nums.values()) <= 0:
+                raise InternalInvariantError(
+                    f"the point {rep.to_json_dict()} of the {granularity.value}"
+                    f" chamber {vec.codes()} leaves the domain")
             chambers.append(Chamber(vec, rep))
             return
-        wall = wall_list[index]
         if any(signs[j] == sign for j, sign in forcing[index]):
             signs.append(Position.ABOVE)
-            descend(index + 1, witness, solved)
+            descend(index + 1, stages)
             signs.pop()
             return
-        excess = witness.excess(wall.subset)
+        subset = wall_list[index].subset
         # ABOVE is -sum_S a < -1, BELOW is sum_S a < 1
         for position, side in ((Position.ABOVE, -1), (Position.BELOW, 1)):
-            rows.append((tuple(side if i in wall.subset else 0
-                               for i in range(1, n + 1)), side, True))
-            signs.append(position)
-            if excess * side < 0:  # the witness is on this side
-                descend(index + 1, witness, False)
-            else:
-                feasible, point = _solve_rows(n, rows, [], True)
-                if feasible:
-                    descend(index + 1, WeightData(genus, point), True)
-            signs.pop()
-            rows.pop()
+            row = (tuple(side if i in subset else 0 for i in range(1, n + 1)),
+                   side, True)
+            extended = _extend(stages, [row])
+            if extended is not None:
+                signs.append(position)
+                descend(index + 1, extended)
+                signs.pop()
 
-    feasible, start = _solve_rows(n, rows, [], True)
-    if feasible:
-        descend(0, WeightData(genus, start), True)
+    descend(0, _extend(_stages(range(n)), rows))  # the domain is never empty
     result = tuple(chambers)
 
     if cache_dir:

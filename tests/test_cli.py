@@ -75,6 +75,11 @@ def _stabilize4(tree):
             "--tree", json.dumps(tree)]
 
 
+def _git_stability(config):
+    return ["git-stability", "--config", config, "--linearization",
+            '{"t":["1/2","1/2","1/2","1/2"]}']
+
+
 @pytest.mark.parametrize("argv, message", [
     (["validate", "--weights", '{"genus":0,"weights":"1111"}'],
      "a must be a list"),
@@ -115,6 +120,21 @@ def _stabilize4(tree):
       "--keep", "1,a"], "--keep entry 'a' is not an integer"),
     (["strata", "--weights", W4, "--max-codim", "-1"],
      "max_codim must be nonnegative"),
+    (["strata", "--weights", W4, "--max-codim", "1", "--limit", "-1"],
+     "limit must be nonnegative"),
+    (["chambers", "--genus", "0", "--n", "4", "--limit", "-1"],
+     "limit must be nonnegative"),
+    (_git_stability('{"classes":[[1,2],[3],[4.5]]}'),
+     "marking must be an integer, got 4.5"),
+    (_git_stability('{"classes":[[1,2],[3],["4"]]}'),
+     "marking must be an integer, got '4'"),
+    (_git_stability('{"classes":[[true],[2],[3],[4]]}'),
+     "marking must be an integer, got True"),
+    (_git_stability('{"classes":["a"]}'), "classes must be a list of lists"),
+    (_git_stability('{"classes":5}'), "classes must be a list of lists"),
+    (_git_stability('{"classes":[true]}'), "classes must be a list of lists"),
+    (_git_stability('{"classes":[[1,2],[],[3],[4]]}'),
+     "configuration classes must be nonempty"),
 ])
 def test_input_grammar_errors(argv, message):
     code, out, err = invoke(argv + ["--json"])

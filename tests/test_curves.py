@@ -204,6 +204,11 @@ class TestEnumerateStrata:
         with pytest.raises(LimitExceeded):
             ws.enumerate_strata(ws.validate(0, [1] * 9), 1)
 
+    @pytest.mark.parametrize("limit", [-1, True, 4.5, "8"])
+    def test_limit_grammar(self, limit):
+        with pytest.raises(DomainError, match="limit must be"):
+            ws.enumerate_strata(ws.validate(0, [1] * 4), 1, limit=limit)
+
     def test_all_output_stable_and_deterministic(self, rng):
         data = random_weight_data(rng, 5)
         strata = ws.enumerate_strata(data, 2)

@@ -205,6 +205,20 @@ class TestChamberMatchesQuotient:
         assert frozenset({1, 2}) in match.ambiguous_subsets
 
 
+@pytest.mark.parametrize("classes, message", [
+    ([[1, 2], [3], [4.5]], "marking must be an integer, got 4.5"),
+    ([[1, 2], [3], ["4"]], "marking must be an integer, got '4'"),
+    ([[True], [2], [3]], "marking must be an integer, got True"),
+    (["a"], "classes must be a list of lists"),
+    (5, "classes must be a list of lists"),
+    ([True], "classes must be a list of lists"),
+    ([[1], [], [2]], "configuration classes must be nonempty"),
+])
+def test_config_type_grammar(classes, message):
+    with pytest.raises(DomainError, match=message):
+        ws.ConfigType.make(classes)
+
+
 def random_linearization(rng, n, attempts=2000):
     for _ in range(attempts):
         dens = rng.randint(3, 9)

@@ -221,3 +221,48 @@ def test_interior_point_matches_fraction_oracle(s):
 @pytest.fixture
 def rng():
     return random.Random(7)
+
+
+@st.composite
+def row_sequences(draw):
+    """Integer rows (coeffs, bound, strict) in dimension 1-5: drawn rows,
+    then parallel and opposite multiples of earlier rows with a shifted
+    bound, in drawn order."""
+    dim = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        if rows and draw(st.booleans()):
+            coeffs, bound, _ = draw(st.sampled_from(rows))
+            factor = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+            rows.append((tuple(factor * c for c in coeffs),
+                         factor * bound + draw(st.integers(-1, 1)),
+                         draw(st.booleans())))
+        else:
+            rows.append((tuple(draw(st.integers(-3, 3)) for _ in range(dim)),
+                         draw(st.integers(-5, 5)), draw(st.booleans())))
+    return dim, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sequences(), st.data())
+def test_incremental_elimination_matches_from_scratch(drawn, data):
+    # adding rows in drawn batches to the stages of the rows before them,
+    # and a sibling row to the same parent stages, gives the feasibility
+    # and the exact point of elimination from scratch and of the oracle
+    from conftest import fraction_solve_rows
+    from weightscape.ratcore import _extend, _point, _solve_rows, _stages
+    dim, rows = drawn
+    stages, done = _stages(range(dim)), 0
+    while done < len(rows) and stages is not None:
+        size = data.draw(st.integers(1, len(rows) - done))
+        batch = rows[done:done + size]
+        sibling = data.draw(st.sampled_from(rows))
+        for added in (batch, [sibling], batch):
+            prefix = rows[:done] + added
+            extended = _extend(stages, added)
+            expected = _solve_rows(dim, prefix, [], True)
+            assert expected == fraction_solve_rows(dim, prefix, [], True)
+            assert (extended is not None) == expected[0]
+            if extended is not None:
+                assert tuple(_point(extended, dim)) == expected[1]
+        stages, done = extended, done + size

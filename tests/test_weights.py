@@ -180,6 +180,29 @@ class TestEnumerateChambers:
         with pytest.raises(LimitExceeded):
             ws.enumerate_chambers(0, 9, FINE)
 
+    @pytest.mark.parametrize("limit", [-1, True, False, 4.0, "8"])
+    def test_limit_grammar(self, limit):
+        with pytest.raises(DomainError, match="limit must be"):
+            ws.enumerate_chambers(0, 4, FINE, limit=limit)
+
+    @pytest.mark.parametrize("point, breach", [
+        ((F(2), F(1), F(1), F(1)), True),   # a_1 > 1
+        ((F(0), F(1), F(1), F(1)), True),   # a_1 = 0
+        ((F(1, 2),) * 4, True),             # 2g - 2 + sum = 0
+        ((F(1),) * 4, False),               # a_j = 1 lies in the domain
+    ])
+    def test_leaf_outside_the_domain_is_an_internal_error(self, monkeypatch,
+                                                          point, breach):
+        from weightscape import weights
+        from weightscape.errors import InternalInvariantError
+        monkeypatch.setattr(weights, "_point", lambda stages, n: list(point))
+        if not breach:
+            chambers = ws.enumerate_chambers(0, 4, FINE)
+            assert {c.representative.weights for c in chambers} == {point}
+            return
+        with pytest.raises(InternalInvariantError, match="leaves the domain"):
+            ws.enumerate_chambers(0, 4, FINE)
+
     def test_n4_round_trip_and_no_duplicates(self):
         chambers = ws.enumerate_chambers(0, 4, FINE)
         codes = [c.sign_vector.codes() for c in chambers]
@@ -240,13 +263,15 @@ class TestEnumerateChambers:
 
 
 # sha256 of chambers_json(g, n, FINE, ...) as computed before the integer
-# Fourier-Motzkin kernel and implied-wall pruning: both must leave every
-# sign vector and representative byte for byte unchanged
+# Fourier-Motzkin kernel and implied-wall pruning, and (2, 5) before the
+# incremental elimination: each must leave every sign vector and
+# representative byte for byte unchanged
 GOLDEN_FINE_CHAMBERS = {
     (0, 4): "827e38088af63e25ff6ef01471f86194e3904e4cecfcdd5a71541345c5573516",
     (1, 4): "701d035ffbffd51a6b345d4e9cae452e777d86aa7adeb2045237614bc8e91fac",
     (0, 5): "f07878b5395ebcfafbf754a02cb3df3d5e490bfec93b44f435382f952d08ad09",
     (1, 5): "6b0d664969f71e6f4513eb3f81a30faba7b4b626f7d9fb9e3e6821eb00a61eeb",
+    (2, 5): "03dd4264209c6708021f9937a01f73aef131bb35b72ae08157be18eba8b06c1c",
 }
 
 
@@ -258,7 +283,7 @@ def test_fine_chambers_golden_bytes(genus, n):
     assert digest == GOLDEN_FINE_CHAMBERS[(genus, n)]
 
 
-@pytest.mark.parametrize("genus, n", [(0, 4), (1, 4)])
+@pytest.mark.parametrize("genus, n", [(0, 4), (1, 4), (2, 4)])
 def test_pruned_search_matches_unpruned(genus, n):
     from conftest import unpruned_chambers
     found = [(c.sign_vector.codes(), c.representative.weights)
