@@ -194,8 +194,8 @@ def _dispatch(args) -> dict:
         chambers = weights.enumerate_chambers(
             args.genus, args.n, granularity,
             limit=args.limit, cache_dir=args.cache_dir)
-        text = weights.chambers_json(args.genus, args.n, granularity, chambers)
-        return jsonio.loads(text)
+        return weights.chambers_payload(args.genus, args.n, granularity,
+                                        chambers)
     if cmd == "locate":
         data = _weight_arg(args.weights)
         granularity = weights.Granularity(args.granularity)

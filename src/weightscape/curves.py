@@ -114,18 +114,18 @@ class MarkedTree:
             classes = _listed(entry["classes"], "classes", list)
             flags = _listed(entry.get("node_supported", [False] * len(classes)),
                             "node_supported", bool, len(classes))
-            vertices.append((_integer(entry["id"], "vertex id"),
-                             _integer(entry["genus"], "genus"),
-                             [MarkClass(frozenset(_integer(m, "marking")
-                                                  for m in members), flag)
+            vertices.append((entry["id"], entry["genus"],
+                             [mark_class(members, flag)
                               for members, flag in zip(classes, flags)]))
         return marked_tree(vertices, [
-            [_integer(x, "edge end") for x in _listed(e, "an edge", int, 2)]
+            _listed(e, "an edge", int, 2)
             for e in _listed(payload["edges"], "edges", list)])
 
 
 def mark_class(markings: Iterable[int], node_supported: bool = False) -> MarkClass:
-    return MarkClass(frozenset(int(m) for m in markings), node_supported)
+    """A coincidence class; a marking that is no integer is a DomainError."""
+    return MarkClass(frozenset(_integer(m, "marking") for m in markings),
+                     node_supported)
 
 
 def marked_tree(vertices, edges=()) -> MarkedTree:
@@ -133,7 +133,8 @@ def marked_tree(vertices, edges=()) -> MarkedTree:
 
     `vertices` holds (id, genus, classes) triples where each class is a
     MarkClass or an iterable of marking indices; `edges` holds unordered
-    id pairs (repeats allowed, self-loops allowed).
+    id pairs (repeats allowed, self-loops allowed).  Ids, genera and
+    edge ends must be integers (not bools).
     """
     built = []
     for vid, genus, classes in vertices:
@@ -145,9 +146,12 @@ def marked_tree(vertices, edges=()) -> MarkedTree:
                 raise DomainError("coincidence classes must be nonempty")
             normalized.append(c)
         normalized.sort(key=MarkClass.sort_key)
-        built.append(Vertex(int(vid), int(genus), tuple(normalized)))
+        built.append(Vertex(_integer(vid, "vertex id"),
+                            _integer(genus, "genus"), tuple(normalized)))
     built.sort(key=lambda v: v.id)
-    norm_edges = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in edges))
+    norm_edges = tuple(sorted(tuple(sorted((_integer(a, "edge end"),
+                                            _integer(b, "edge end"))))
+                              for a, b in edges))
     tree = MarkedTree(tuple(built), norm_edges)
     _check_tree(tree)
     return tree
@@ -244,7 +248,8 @@ def canonical_form(tree: MarkedTree) -> MarkedTree:
 
 def _integer_weights(weights: WeightsLike) -> tuple[dict[int, int], int]:
     return weights.scaled if isinstance(weights, WeightData) else \
-        integer_scaled({int(k): Fraction(v) for k, v in weights.items()})
+        integer_scaled({_integer(k, "marking"): Fraction(v)
+                        for k, v in weights.items()})
 
 
 def _valences(vertex_ids: Iterable[int], edges) -> dict[int, int]:
@@ -474,7 +479,7 @@ def forget(tree: MarkedTree, a: WeightData, keep: Iterable[int]) -> MarkedTree:
     """Delete the markings outside `keep`, then contract until stable for
     the kept weights.  Labels are preserved verbatim."""
     a = validate(a.genus, a.weights, Mode.ZERO_ALLOWED)
-    kept = sorted(set(int(k) for k in keep))
+    kept = sorted({_integer(k, "keep entry") for k in keep})
     full, den = a.scaled
     if not kept or any(k not in full for k in kept):
         raise DomainError("keep must be a nonempty subset of the marking indices")
@@ -669,7 +674,7 @@ def is_blowup_profile(data: WeightData, subset: Iterable[int]) -> bool:
 
     Pure subset arithmetic: boundary-normalized tuples are accepted too.
     """
-    members = sorted(set(int(i) for i in subset))
+    members = sorted({_integer(i, "subset entry") for i in subset})
     if len(members) < 3:
         raise DomainError("blow-up profiles need |I| >= 3")
     if members[0] < 1 or members[-1] > data.n:
@@ -723,7 +728,8 @@ def symmetrized_boundary_count(data: WeightData,
     """Number of boundary-divisor orbits under the product of symmetric
     groups permuting within the given equal-weight blocks."""
     data = validate(data.genus, data.weights, Mode.STRICT)
-    block_list = [tuple(sorted(set(int(i) for i in blk))) for blk in blocks]
+    block_list = [tuple(sorted({_integer(i, "block entry") for i in blk}))
+                  for blk in blocks]
     block_list.sort(key=lambda blk: blk[0] if blk else 0)
     flattened = [i for blk in block_list for i in blk]
     if sorted(flattened) != list(range(1, data.n + 1)):

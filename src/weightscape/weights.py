@@ -178,7 +178,9 @@ class SignVector:
         return Position.ON in self.positions
 
     def codes(self) -> str:
-        return "".join(p.value for p in self.positions)
+        # `_value_` is a plain attribute; `value` and an Enum's hash run
+        # Python code per member
+        return "".join([p._value_ for p in self.positions])
 
 
 @dataclass(frozen=True)
@@ -212,10 +214,22 @@ def walls(genus: int, n: int, granularity: Granularity) -> tuple[Wall, ...]:
 def locate(data: WeightData, granularity: Granularity) -> SignVector:
     """Exact position of the weight datum against every wall."""
     validate(data.genus, data.weights, Mode.ZERO_ALLOWED)
+    return SignVector(data.genus, data.n, granularity,
+                      _positions(data, granularity))
+
+
+def _positions(data: WeightData, granularity: Granularity) -> tuple[Position, ...]:
+    """`locate`'s positions, for a datum already known to be valid."""
     subsets = (w.subset for w in walls(data.genus, data.n, granularity))
-    positions = tuple(_BY_SIGN[(e > 0) - (e < 0)]
-                      for e in map(data.excess, subsets))
-    return SignVector(data.genus, data.n, granularity, positions)
+    return tuple(_BY_SIGN[(e > 0) - (e < 0)]
+                 for e in map(data.excess, subsets))
+
+
+def _in_domain(data: WeightData) -> bool:
+    """0 < a_j <= 1 and 2g-2+sum(a) > 0, tested on the `scaled` numerators."""
+    nums, den = data.scaled
+    return all(0 < x <= den for x in nums.values()) and \
+        (2 * data.genus - 2) * den + sum(nums.values()) > 0
 
 
 def same_chamber(a: WeightData, b: WeightData, granularity: Granularity) -> bool:
@@ -236,12 +250,14 @@ def _chamber_cache_path(cache_dir: str, genus: int, n: int,
     return os.path.join(cache_dir, name)
 
 
-def _chambers_payload(genus, n, granularity, wall_list, chambers) -> dict:
+def chambers_payload(genus: int, n: int, granularity: Granularity,
+                     chambers: tuple[Chamber, ...]) -> dict:
+    """The JSON object of a chamber list, as `chambers_json` dumps it."""
     return {
         "genus": genus,
         "n": n,
         "granularity": granularity.value,
-        "walls": [sorted(w.subset) for w in wall_list],
+        "walls": [sorted(w.subset) for w in walls(genus, n, granularity)],
         "count": len(chambers),
         "chambers": [
             {"signs": ch.sign_vector.codes(),
@@ -251,13 +267,47 @@ def _chambers_payload(genus, n, granularity, wall_list, chambers) -> dict:
     }
 
 
-def _chambers_from_payload(payload, genus, n, granularity) -> tuple[Chamber, ...]:
-    out = []
-    for entry in payload["chambers"]:
-        positions = tuple(Position(c) for c in entry["signs"])
-        rep = validate(genus, entry["representative"], Mode.ZERO_ALLOWED)
-        out.append(Chamber(SignVector(genus, n, granularity, positions), rep))
-    return tuple(out)
+def _cached_chambers(path: str, genus: int, n: int,
+                     granularity: Granularity) -> Optional[tuple[Chamber, ...]]:
+    """The chambers stored in a cache file, or None when it is unreadable or
+    fails a check.  The header and wall list must match; each representative
+    must be a list of n canonical `rat_str` weights inside the domain whose
+    own sign string, free of ON, is the stored one; no two chambers may
+    share a sign string.  Each distinct weight string is parsed once."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = jsonio.loads(fh.read())
+        entries = payload["chambers"]
+        if [payload["genus"], payload["n"], payload["granularity"],
+                payload["walls"], payload["count"]] != \
+                [genus, n, granularity.value,
+                 [sorted(w.subset) for w in walls(genus, n, granularity)],
+                 len(entries)]:
+            return None
+        parsed: dict[str, Fraction] = {}
+        seen: set[str] = set()
+        out = []
+        for entry in entries:
+            signs, strings = entry["signs"], entry["representative"]
+            if not isinstance(strings, list) or len(strings) != n:
+                return None
+            for s in strings:
+                if s not in parsed:
+                    parsed[s] = Fraction(s)
+                    if str(parsed[s]) != s:
+                        return None
+            rep = WeightData(genus, tuple(map(parsed.__getitem__, strings)))
+            if not _in_domain(rep):
+                return None
+            vec = SignVector(genus, n, granularity,
+                             _positions(rep, granularity))
+            if vec.has_on or vec.codes() != signs or signs in seen:
+                return None
+            seen.add(signs)
+            out.append(Chamber(vec, rep))
+        return tuple(out)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError):
+        return None
 
 
 def _check_limit(n: int, limit: Optional[int]) -> None:
@@ -277,25 +327,18 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     interior representative; deterministic depth-first order.
 
     Results are cached as one JSON file per (genus, n, granularity) under
-    `cache_dir` (or $WEIGHTSCAPE_CACHE); cache hits are byte-identical to
-    recomputation.
+    `cache_dir` (or $WEIGHTSCAPE_CACHE).  A file is served only when it
+    passes every check of `_cached_chambers`, and is recomputed and
+    overwritten otherwise; cache hits are byte-identical to recomputation.
     """
     _check_limit(n, limit)
     cache_dir = cache_dir or os.environ.get(CACHE_ENV_VAR)
     if cache_dir:
         path = _chamber_cache_path(cache_dir, genus, n, granularity)
         if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="ascii") as fh:
-                    payload = jsonio.loads(fh.read())
-                expected = [sorted(w.subset)
-                            for w in walls(genus, n, granularity)]
-                if payload["walls"] == expected and \
-                        payload["count"] == len(payload["chambers"]):
-                    return _chambers_from_payload(payload, genus, n,
-                                                  granularity)
-            except (ValueError, KeyError):
-                pass
+            cached = _cached_chambers(path, genus, n, granularity)
+            if cached is not None:
+                return cached
             # unreadable or stale cache entry: recompute and overwrite
 
     wall_list = walls(genus, n, granularity)
@@ -331,9 +374,7 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
         if index == len(wall_list):
             vec = SignVector(genus, n, granularity, tuple(signs))
             rep = WeightData(genus, tuple(_point(stages, n)))
-            nums, den = rep.scaled
-            if not all(0 < x <= den for x in nums.values()) or \
-                    (2 * genus - 2) * den + sum(nums.values()) <= 0:
+            if not _in_domain(rep):
                 raise InternalInvariantError(
                     f"the point {rep.to_json_dict()} of the {granularity.value}"
                     f" chamber {vec.codes()} leaves the domain")
@@ -360,14 +401,13 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
 
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        payload = _chambers_payload(genus, n, granularity, wall_list, result)
         # write a temp file private to this thread in the same directory,
         # then rename it over the entry: readers see the old file or the
         # whole new one, never a part
         tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
         try:
             with open(tmp, "w", encoding="ascii") as fh:
-                fh.write(jsonio.canonical_dumps(payload))
+                fh.write(chambers_json(genus, n, granularity, result))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -378,9 +418,8 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
 def chambers_json(genus: int, n: int, granularity: Granularity,
                   chambers: tuple[Chamber, ...]) -> str:
     """Canonical serialization, byte-identical to the cache file."""
-    wall_list = walls(genus, n, granularity)
     return jsonio.canonical_dumps(
-        _chambers_payload(genus, n, granularity, wall_list, chambers))
+        chambers_payload(genus, n, granularity, chambers))
 
 
 def perturb_to_fine_chamber(data: WeightData) -> WeightData:

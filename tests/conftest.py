@@ -549,6 +549,61 @@ def fraction_is_blowup_profile(a, members):
                for sub in combinations(members, len(members) - 1))
 
 
+# Hand edits of the fine (0, 4) chamber cache payload, whose first chamber
+# is ["3/4", "3/4", "3/4", "1/2"] with signs "AAAAAA"; a cache read must
+# reject each one and recompute
+CACHE_TAMPERS = ("weight 2", "zero weight", "degree zero", "on a wall",
+                 "other signs", "short signs", "padded weight",
+                 "unreduced weight", "integer weight", "zero denominator",
+                 "string representative", "duplicate", "header", "list",
+                 "null", "entry x")
+
+
+def tamper_chamber_cache(payload, kind):
+    """The payload after the edit `kind` (one of CACHE_TAMPERS)."""
+    chambers = payload["chambers"]
+    first = chambers[0]
+    by_signs = {entry["signs"]: entry for entry in chambers}
+    if kind == "weight 2":
+        first["representative"][0] = "2"
+    elif kind == "zero weight":  # this and the next keep the stored signs
+        by_signs["AABABB"]["representative"] = ["3/4", "3/4", "3/4", "0"]
+    elif kind == "degree zero":  # 2g - 2 + sum = 0
+        by_signs["AAABBB"]["representative"] = ["7/8", "5/8", "1/4", "1/4"]
+    elif kind == "on a wall":  # the signs are the representative's own
+        first["representative"] = ["1/2", "1/2", "3/4", "3/4"]
+        first["signs"] = "OAAAAA"
+    elif kind == "other signs":  # swapped, so they stay distinct
+        first["signs"], chambers[1]["signs"] = \
+            chambers[1]["signs"], first["signs"]
+    elif kind == "short signs":
+        first["signs"] = first["signs"][:-1]
+    elif kind == "padded weight":
+        first["representative"][3] = " 1/2"
+    elif kind == "unreduced weight":
+        first["representative"][3] = "2/4"
+    elif kind == "integer weight":  # 1 keeps the signs "AAAAAA"
+        first["representative"][0] = 1
+    elif kind == "zero denominator":
+        first["representative"][3] = "1/0"
+    elif kind == "string representative":  # four canonical "1" characters
+        first["representative"] = "1111"
+    elif kind == "duplicate":
+        chambers.append(dict(first))
+        payload["count"] += 1
+    elif kind == "header":
+        payload["granularity"] = "coarse"
+    elif kind == "list":
+        return []
+    elif kind == "null":
+        return None
+    elif kind == "entry x":
+        chambers[0] = "x"
+    else:
+        raise ValueError(kind)
+    return payload
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

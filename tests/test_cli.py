@@ -5,6 +5,8 @@ import pytest
 
 from weightscape.cli import run
 
+from conftest import CACHE_TAMPERS, tamper_chamber_cache
+
 
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -221,6 +223,17 @@ def test_chambers_with_cache(tmp_path):
     no_cache = invoke(["chambers", "--genus", "0", "--n", "4", "--json"])
     assert cold == warm == no_cache
     assert (tmp_path / "chambers-g0-n4-fine.json").read_text() == cold[1]
+
+
+@pytest.mark.parametrize("kind", CACHE_TAMPERS)
+def test_chambers_tampered_cache(tmp_path, kind):
+    argv = ["chambers", "--genus", "0", "--n", "4", "--json"]
+    cold = invoke(argv)
+    path = tmp_path / "chambers-g0-n4-fine.json"
+    path.write_text(json.dumps(tamper_chamber_cache(json.loads(cold[1]),
+                                                    kind)))
+    assert invoke(argv + ["--cache-dir", str(tmp_path)]) == cold
+    assert cold[0] == 0 and path.read_text() == cold[1]
 
 
 def test_chambers_limit_exit_code():

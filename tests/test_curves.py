@@ -503,6 +503,35 @@ class TestTreeJson:
         }
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ws.mark_class([1.7, 2]), "marking must be an integer, got 1.7"),
+    (lambda: ws.mark_class([True]), "marking must be an integer, got True"),
+    (lambda: ws.marked_tree([(1.0, 0, [[1], [2], [3]])]),
+     "vertex id must be an integer, got 1.0"),
+    (lambda: ws.marked_tree([(1, "0", [[1], [2], [3]])]),
+     "genus must be an integer, got '0'"),
+    (lambda: ws.marked_tree([(1, 0, [[1], [2]]), (2, 0, [[3], [4]])],
+                            [(1, 2.0)]),
+     "edge end must be an integer, got 2.0"),
+    (lambda: ws.is_blowup_profile(ws.validate(0, [1] * 5), [1.9, 2.5, 3.2]),
+     "subset entry must be an integer, got 1.9"),
+    (lambda: ws.symmetrized_boundary_count(ws.validate(0, [1] * 5),
+                                           [[1, 2, 3], [4, 5.0]]),
+     "block entry must be an integer, got 5.0"),
+    (lambda: ws.forget(one_vertex(5), ws.validate(0, [1] * 5), [1, 2, 3.5]),
+     "keep entry must be an integer, got 3.5"),
+    (lambda: ws.is_stable(one_vertex(3), {1: 1, 2: 1, 3.0: 1}),
+     "marking must be an integer, got 3.0"),
+], ids=["mark_class", "mark_class-bool", "vertex-id", "vertex-genus",
+        "edge-end", "is_blowup_profile", "symmetrized_boundary_count",
+        "forget-keep", "weight-map-key"])
+def test_markings_and_ids_must_be_integers(call, message):
+    # int() would truncate 1.7 to 1 and read 1.0 as the vertex id 1
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @st.composite
 def dominated_weight_pairs(draw):
     n = draw(st.integers(4, 6))

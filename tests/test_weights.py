@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,9 @@ import weightscape as ws
 from weightscape.errors import (BoundarySumMismatch, DegreeNotPositive,
                                 DomainError, LimitExceeded, OnWall,
                                 WeightOutOfRange)
-from weightscape.weights import Granularity, Mode, Position
+from weightscape.weights import Granularity, Mode, Position, chambers_json
+
+from conftest import CACHE_TAMPERS, tamper_chamber_cache
 
 F = Fraction
 FINE = Granularity.FINE
@@ -260,6 +263,48 @@ class TestEnumerateChambers:
         assert first == ws.enumerate_chambers(0, 4, FINE)
         from weightscape.weights import chambers_json
         assert path.read_text() == chambers_json(0, 4, FINE, first)
+
+
+@pytest.mark.parametrize("kind", CACHE_TAMPERS)
+def test_tampered_cache_recomputed(tmp_path, kind):
+    cold = ws.enumerate_chambers(0, 4, FINE)
+    text = chambers_json(0, 4, FINE, cold)
+    path = tmp_path / "chambers-g0-n4-fine.json"
+    path.write_text(json.dumps(tamper_chamber_cache(json.loads(text), kind)))
+    assert ws.enumerate_chambers(0, 4, FINE, cache_dir=str(tmp_path)) == cold
+    assert path.read_text() == text
+
+
+def test_short_representative_recomputed(tmp_path):
+    # coarse (0, 5) has no walls, so no sign string tells the length, and
+    # these four weights lie in the domain
+    cold = ws.enumerate_chambers(0, 5, COARSE)
+    text = chambers_json(0, 5, COARSE, cold)
+    payload = json.loads(text)
+    payload["chambers"][0]["representative"] = ["1/2", "1/2", "1/2", "3/4"]
+    path = tmp_path / "chambers-g0-n5-coarse.json"
+    path.write_text(json.dumps(payload))
+    assert ws.enumerate_chambers(0, 5, COARSE, cache_dir=str(tmp_path)) == cold
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("granularity", [FINE, COARSE])
+@pytest.mark.parametrize("genus, n", [(g, n) for g in range(3)
+                                      for n in range(3 if g == 0 else 1, 6)])
+def test_cache_hit_is_served(tmp_path, monkeypatch, genus, n, granularity):
+    # the writer's own file must pass every check of the read: a rejected
+    # hit gives the same output, but runs the whole search again
+    from weightscape import weights
+    cold = ws.enumerate_chambers(genus, n, granularity, cache_dir=str(tmp_path))
+
+    def no_search(*args):
+        raise AssertionError("a cache hit ran the chamber search")
+
+    monkeypatch.setattr(weights, "_extend", no_search)
+    hit = ws.enumerate_chambers(genus, n, granularity, cache_dir=str(tmp_path))
+    assert hit == cold
+    assert chambers_json(genus, n, granularity, hit) == \
+        chambers_json(genus, n, granularity, cold)
 
 
 # sha256 of chambers_json(g, n, FINE, ...) as computed before the integer
