@@ -50,7 +50,7 @@ def _read_payload(raw: str) -> dict:
             text = fh.read()
     try:
         payload = json.loads(text, object_hook=_Payload)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"cannot parse JSON payload: {exc}")
     if not isinstance(payload, dict):
         raise DomainError(f"a payload must be a JSON object, got {text!r}")

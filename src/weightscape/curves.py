@@ -32,6 +32,7 @@ from .errors import (DomainError, InternalInvariantError,
                      NonterminatingContraction, NotAStable,
                      ResidualDegreeNotPositive, UnequalWeightsInBlock,
                      WeightsNotDominated)
+from .ratcore import rational
 from .weights import (Mode, WeightData, _check_limit, _integer, _listed,
                       integer_scaled, validate)
 
@@ -248,7 +249,7 @@ def canonical_form(tree: MarkedTree) -> MarkedTree:
 
 def _integer_weights(weights: WeightsLike) -> tuple[dict[int, int], int]:
     return weights.scaled if isinstance(weights, WeightData) else \
-        integer_scaled({_integer(k, "marking"): Fraction(v)
+        integer_scaled({_integer(k, "marking"): rational(v, f"a_{k}")
                         for k, v in weights.items()})
 
 

@@ -20,7 +20,10 @@ a search adding one row at a time pays for the new pairs only.
 
 Interior points are reconstructed deterministically by back-substitution
 through the stages (`_point`), taking the midpoint of each feasible
-interval.  Each interval is a fiber of a projection of the solution set,
+interval.  It runs on integers too: the fixed values are numerators over
+one running denominator, a stage's limits are compared by
+cross-multiplying, and a `Fraction` is built once per coordinate, at the
+end.  Each interval is a fiber of a projection of the solution set,
 so without equalities a point depends on the solution set only: rows an
 incremental stage keeps beyond a from-scratch one (combinations of a row
 later displaced by a tighter parallel one) are implied and move no limit.
@@ -64,11 +67,11 @@ def rat(value: RationalLike) -> Fraction:
 
 def rational(value, name: str) -> Fraction:
     """`rat(value)`, except that a value that is no exact rational (a
-    float, a malformed string, a zero denominator) raises DomainError
-    naming it: `a_1 = 0.5 is not an exact rational`."""
+    float, a bool, a malformed string, a zero denominator) raises
+    DomainError naming it: `a_1 = 0.5 is not an exact rational`."""
     try:
         return rat(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, DomainError) as exc:
         raise DomainError(f"{name} = {value!r} is not an exact rational") \
             from exc
 
@@ -143,7 +146,6 @@ class ConstraintSystem:
 # throughout: rows are scaled to integers on entry, and every later row is
 # a positive integer combination of earlier ones divided by a positive
 # gcd.  Positive scaling preserves each row's solution set exactly.
-_ZERO = Fraction(0)
 
 
 def _int_scaled(coeffs, const):
@@ -257,11 +259,21 @@ def _stages(variables):
 
 
 def _point(stages, dimension: int) -> list:
-    """Back-substitution through the stages, the last variable first."""
-    values: list[Optional[Fraction]] = [None] * dimension
+    """Back-substitution through the stages, the last variable first.  The
+    fixed values are integer numerators `nums` over one running denominator
+    `den`, raised only when a pick needs it; a Fraction is built once per
+    coordinate, at the end."""
+    nums, den = [0] * dimension, 1
     for var, kept in reversed(stages):
-        values[var] = _pick_value(var, kept.values(), values)
-    return values
+        p, q = _pick(var, kept.values(), nums, den)
+        common = gcd(p, q)
+        p, q = p // common, q // common
+        if den % q:
+            scale = q // gcd(den, q)
+            nums = [x * scale for x in nums]
+            den *= scale
+        nums[var] = p * (den // q)
+    return [Fraction(x, den) for x in nums]
 
 
 def _solve_rows(dimension: int, ineqs, eqs, want_point: bool):
@@ -299,36 +311,40 @@ def _solve(system: ConstraintSystem, want_point: bool):
     return feasible, point
 
 
-def _pick_value(var, rows, values):
-    """Midpoint of the interval the rows of x_var's stage leave for it once
-    the later variables are fixed; one Fraction is built, for the result.
+def _pick(var, rows, nums, den):
+    """Midpoint (p, q), the value p / q, of the interval the rows of x_var's
+    stage leave for it once the later variables are fixed at nums / den.
 
-    A row bounds x_var by (bound * den - coeffs . nums) / (c_var * den),
-    with nums / den the fixed values over their common denominator; every
-    limit is kept as an integer over d = den * lcm of the c_var.
+    A row bounds x_var by (bound * den - coeffs . nums) / (c_var * den).
+    Each side keeps its tightest limit as (a, c, strict), the value
+    a / (c * den) with c = |c_var| > 0, and limits are compared by
+    cross-multiplying; on equal limits the strict one is the tighter.
     """
-    den = lcm(*(v.denominator for v in values if v is not None))
-    nums = [0 if v is None else v.numerator * (den // v.denominator)
-            for v in values]
-    limits = [(bound * den - sum(map(mul, coeffs, nums)), coeffs[var], strict)
-              for coeffs, bound, strict, _ in rows]
-    scale = lcm(*(cv for _, cv, _ in limits))
-    d = den * scale
-    # the least upper and the greatest lower limit; on a tie the strict one
-    upper = min(((acc * (scale // cv), not strict)
-                 for acc, cv, strict in limits if cv > 0), default=None)
-    lower = max(((acc * (scale // cv), strict)
-                 for acc, cv, strict in limits if cv < 0), default=None)
-    if lower is None and upper is None:
-        return _ZERO
-    if lower is None:
-        return Fraction(upper[0] - d, d)
+    upper = lower = None
+    for coeffs, bound, strict, _ in rows:
+        a, c = bound * den - sum(map(mul, coeffs, nums)), coeffs[var]
+        prev = upper if c > 0 else lower
+        # on either side, gap > 0 exactly when a / c is tighter than prev
+        if prev is not None:
+            gap = prev[0] * c - a * prev[1]
+            if gap < 0 or (gap == 0 and not strict):
+                continue
+        if c > 0:
+            upper = (a, c, strict)
+        else:
+            lower = (-a, -c, strict)
     if upper is None:
-        return Fraction(lower[0] + d, d)
-    if lower[0] < upper[0]:
-        return Fraction(lower[0] + upper[0], 2 * d)
-    if lower[0] == upper[0] and not lower[1] and upper[1]:
-        return Fraction(lower[0], d)
+        return (0, 1) if lower is None else \
+            (lower[0] + lower[1] * den, lower[1] * den)
+    u, cu, upper_strict = upper
+    if lower is None:
+        return u - cu * den, cu * den
+    low, cl, lower_strict = lower
+    gap = u * cl - low * cu
+    if gap > 0:
+        return low * cu + u * cl, 2 * cl * cu * den
+    if gap == 0 and not (upper_strict or lower_strict):
+        return low, cl * den
     raise InternalInvariantError("empty interval during back-substitution")
 
 

@@ -306,7 +306,8 @@ def _cached_chambers(path: str, genus: int, n: int,
             seen.add(signs)
             out.append(Chamber(vec, rep))
         return tuple(out)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError):
+    except (ValueError, KeyError, TypeError, ZeroDivisionError,
+            RecursionError):
         return None
 
 
@@ -361,6 +362,13 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
         if genus == 0 and index_of.get(full - wall.subset, i) < i:
             pairs.append((index_of[full - wall.subset], Position.BELOW))
         forcing.append(pairs)
+    # per wall, each side with its one-row extension: ABOVE is
+    # -sum_S a < -1, BELOW is sum_S a < 1
+    sides = [[(position, [(tuple(side if i in wall.subset else 0
+                                 for i in range(1, n + 1)), side, True)])
+              for position, side in ((Position.ABOVE, -1),
+                                     (Position.BELOW, 1))]
+             for wall in wall_list]
     chambers: list[Chamber] = []
     signs: list[Position] = []
 
@@ -385,12 +393,8 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
             descend(index + 1, stages)
             signs.pop()
             return
-        subset = wall_list[index].subset
-        # ABOVE is -sum_S a < -1, BELOW is sum_S a < 1
-        for position, side in ((Position.ABOVE, -1), (Position.BELOW, 1)):
-            row = (tuple(side if i in subset else 0 for i in range(1, n + 1)),
-                   side, True)
-            extended = _extend(stages, [row])
+        for position, added in sides[index]:
+            extended = _extend(stages, added)
             if extended is not None:
                 signs.append(position)
                 descend(index + 1, extended)

@@ -144,6 +144,14 @@ def test_input_grammar_errors(argv, message):
     assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
+def test_deeply_nested_payload_is_domain_error():
+    # json.loads gives up on this with a RecursionError
+    code, out, err = invoke(["validate", "--weights", "[" * 100000, "--json"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot parse JSON payload: ")
+    assert "Traceback" not in err
+
+
 def test_library_key_error_is_internal(monkeypatch):
     from weightscape import curves
 

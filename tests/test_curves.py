@@ -532,6 +532,19 @@ def test_markings_and_ids_must_be_integers(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("value", [0.1, True, "abc"])
+@pytest.mark.parametrize("call", [ws.is_stable,
+                                  lambda tree, a: ws.vertex_log_degree(tree, 1,
+                                                                       a)],
+                         ids=["is_stable", "vertex_log_degree"])
+def test_weight_map_values_must_be_exact(call, value):
+    # Fraction(0.1) would read the float's binary value, and True as 1
+    tree = ws.marked_tree([(1, 0, [[1], [2], [3]])])
+    with pytest.raises(DomainError) as info:
+        call(tree, {1: 1, 2: value, 3: 1})
+    assert str(info.value) == f"a_2 = {value!r} is not an exact rational"
+
+
 @st.composite
 def dominated_weight_pairs(draw):
     n = draw(st.integers(4, 6))

@@ -9,6 +9,8 @@ from weightscape.ratcore import (ConstraintSystem, LinearConstraint,
                                  find_interior_point, is_feasible, rat,
                                  rat_str)
 
+F = Fraction
+
 
 def system(dim, *constraints):
     return ConstraintSystem.make(dim, constraints)
@@ -266,3 +268,94 @@ def test_incremental_elimination_matches_from_scratch(drawn, data):
             if extended is not None:
                 assert tuple(_point(extended, dim)) == expected[1]
         stages, done = extended, done + size
+
+
+def _stage(var, *rows):
+    """A hand-built stage eliminating x_var, from rows (coeffs, bound,
+    strict)."""
+    return var, {i: (coeffs, bound, strict, 1)
+                 for i, (coeffs, bound, strict) in enumerate(rows)}
+
+
+def _fraction_point(stages, dimension):
+    """Back-substitution through `stages` with the Fraction oracle."""
+    from conftest import fraction_pick_value
+    values = [None] * dimension
+    for var, kept in reversed(stages):
+        values[var] = fraction_pick_value(
+            var, [row[:3] for row in kept.values()], values)
+    return values
+
+
+# y = x_1 is fixed at 1/2 first, so x = x_0's limits are over den = 2
+_Y_HALF = _stage(1, ((0, -1), 0, True), ((0, 1), 1, True))
+
+
+@pytest.mark.parametrize("stages, expected", [
+    ([_stage(0)], [0]),
+    ([_stage(0), _Y_HALF], [0, F(1, 2)]),
+    ([_stage(0, ((2,), 3, True))], [F(1, 2)]),
+    ([_stage(0, ((-3,), -1, False))], [F(4, 3)]),
+    ([_stage(0, ((2, 1), 1, False)), _Y_HALF], [F(-3, 4), F(1, 2)]),
+    ([_stage(0, ((-2, 1), -1, True)), _Y_HALF], [F(7, 4), F(1, 2)]),
+    # 2x + y < 4 is x < 7/4 and beats x < 2, although its numerator
+    # 4 * 2 - 1 = 7 exceeds the 2 * 2 = 4 of x < 2
+    ([_stage(0, ((1, 0), 2, True), ((2, 1), 4, True), ((-1, 0), 0, True)),
+      _Y_HALF], [F(7, 8), F(1, 2)]),
+    ([_stage(0, ((2, 1), 4, True), ((1, 0), 2, True), ((-1, 0), 0, True)),
+      _Y_HALF], [F(7, 8), F(1, 2)]),
+    # -5x - 2y < -4 is x > 3/5 and loses to x > 1, although its numerator
+    # 6 exceeds the 2 of x > 1
+    ([_stage(0, ((-5, -2), -4, True), ((-1, 0), -1, True), ((1, 0), 2, True)),
+      _Y_HALF], [F(3, 2), F(1, 2)]),
+    ([_stage(0, ((-1, 0), -1, True), ((-5, -2), -4, True), ((1, 0), 2, True)),
+      _Y_HALF], [F(3, 2), F(1, 2)]),
+    ([_stage(0, ((1,), 1, False), ((-1,), -1, False))], [F(1)]),
+    ([_stage(0, ((2, 1), 3, False), ((-4, 0), -5, False)), _Y_HALF],
+     [F(5, 4), F(1, 2)]),
+], ids=["no-limit", "no-limit-over-den", "upper-only", "lower-only",
+        "upper-only-over-den", "lower-only-over-den", "uppers-cross",
+        "uppers-cross-reversed", "lowers-cross", "lowers-cross-reversed",
+        "closed-point", "closed-point-over-den"])
+def test_back_substitution_cases(stages, expected):
+    from weightscape.ratcore import _point
+    assert _point(stages, len(expected)) == expected
+    assert _fraction_point(stages, len(expected)) == expected
+
+
+@pytest.mark.parametrize("stages", [
+    [_stage(0, ((1,), 1, True), ((-1,), -1, False))],
+    [_stage(0, ((1,), 1, False), ((-1,), -1, True))],
+    [_stage(0, ((1,), 1, True), ((-1,), -1, True))],
+    # on equal limits of one side the strict row is the tighter, in
+    # either order, so the closed point 1 is no interval
+    [_stage(0, ((2,), 2, True), ((1,), 1, False), ((-1,), -1, False))],
+    [_stage(0, ((1,), 1, False), ((2,), 2, True), ((-1,), -1, False))],
+    [_stage(0, ((-2,), -2, True), ((-1,), -1, False), ((1,), 1, False))],
+    [_stage(0, ((-1,), -1, False), ((-2,), -2, True), ((1,), 1, False))],
+    [_stage(0, ((2, 1), 3, True), ((-4, 0), -5, False)), _Y_HALF],
+], ids=["strict-upper", "strict-lower", "both-strict", "strict-upper-first",
+        "strict-upper-second", "strict-lower-first", "strict-lower-second",
+        "strict-upper-over-den"])
+def test_back_substitution_empty_interval(stages):
+    from weightscape.errors import InternalInvariantError
+    from weightscape.ratcore import _point
+    dimension = max(var for var, _ in stages) + 1
+    with pytest.raises(InternalInvariantError, match="empty interval"):
+        _point(stages, dimension)
+    with pytest.raises(AssertionError):
+        _fraction_point(stages, dimension)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sequences(), st.data())
+def test_point_matches_fraction_back_substitution(drawn, data):
+    # after every row a search would add, in a drawn elimination order
+    from weightscape.ratcore import _extend, _point, _stages
+    dim, rows = drawn
+    stages = _stages(data.draw(st.permutations(range(dim))))
+    for row in rows:
+        stages = _extend(stages, [row])
+        if stages is None:
+            break
+        assert _point(stages, dim) == _fraction_point(stages, dim)

@@ -265,6 +265,14 @@ class TestEnumerateChambers:
         assert path.read_text() == chambers_json(0, 4, FINE, first)
 
 
+def test_deeply_nested_cache_recomputed(tmp_path):
+    # json.loads gives up on this with a RecursionError: a stale entry too
+    cold = ws.enumerate_chambers(0, 4, FINE)
+    path = tmp_path / "chambers-g0-n4-fine.json"
+    path.write_text("[" * 100000)
+    assert ws.enumerate_chambers(0, 4, FINE, cache_dir=str(tmp_path)) == cold
+    assert path.read_text() == chambers_json(0, 4, FINE, cold)
+
 @pytest.mark.parametrize("kind", CACHE_TAMPERS)
 def test_tampered_cache_recomputed(tmp_path, kind):
     cold = ws.enumerate_chambers(0, 4, FINE)
