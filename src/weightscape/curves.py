@@ -518,45 +518,67 @@ def _stratum_keys(nums: Mapping[int, int], den: int, max_codim: int):
     first block always holds the smallest unplaced marking, so every
     unordered collection is met once; the root holds marking 1 in a class.
     A class of size s costs s - 1 toward the codimension and an edge 1.
+
+    Blocks are bitmasks over the sorted markings: `weight` and `marks` give
+    each mask's numerator sum and sorted markings, both filled once by the
+    lowest-bit recurrence.  Forests and subtrees are memoised, so no
+    sub-partition is enumerated twice.
     """
-    memo: dict = {}
+    markings = sorted(nums)
+    weight, marks = [0], [()]
+    for mask in range(1, 1 << len(markings)):
+        low = mask & -mask
+        first = markings[low.bit_length() - 1]
+        weight.append(weight[mask ^ low] + nums[first])
+        marks.append((first,) + marks[mask ^ low])
+    forest_memo: dict = {}
+    subtree_memo: dict = {}
 
     def forests(rest, budget, lead):
         """(cost, classes, child keys, class weight) per partition of rest.
-        Its first block is a class when lead is 0, a class or a subtree
-        short of all of rest when lead is 1, and either when lead is 2."""
+        Its first block, which holds the lowest bit of rest, is a class
+        when lead is 0, a class or a subtree short of all of rest when lead
+        is 1, and either when lead is 2."""
         if not rest:
-            yield 0, (), (), 0
-            return
-        first, others = rest[0], rest[1:]
-        for size in range(len(others) + 1):
-            for extra in combinations(others, size):
-                block = (first,) + extra
-                left = tuple(m for m in others if m not in extra)
-                weight = sum(nums[m] for m in block)
-                options = [(size, ((block, False),), (), weight)] \
-                    if weight <= den and size <= budget else []
-                if lead == 2 or lead == 1 and left:
-                    options += [(cost, (), (key,), 0)
-                                for cost, key in subtrees(block, budget)]
-                for cost, classes, kids, w in options:
-                    for more in forests(left, budget - cost, 2):
-                        yield (cost + more[0], classes + more[1],
-                               kids + more[2], w + more[3])
+            return [(0, (), (), 0)]
+        found = forest_memo.get((rest, budget, lead))
+        if found is not None:
+            return found
+        low = rest & -rest
+        others = rest ^ low
+        found = []
+        sub = others
+        while True:
+            block, left = low | sub, others ^ sub
+            size = len(marks[block]) - 1
+            options = [(size, ((marks[block], False),), (), weight[block])] \
+                if weight[block] <= den and size <= budget else []
+            if lead == 2 or lead == 1 and left:
+                options += [(cost, (), (key,), 0)
+                            for cost, key in subtrees(block, budget)]
+            for cost, classes, kids, w in options:
+                for more in forests(left, budget - cost, 2):
+                    found.append((cost + more[0], classes + more[1],
+                                  kids + more[2], w + more[3]))
+            if not sub:
+                break
+            sub = (sub - 1) & others
+        forest_memo[rest, budget, lead] = found
+        return found
 
     def vertices(block, budget, hanging):
         """(cost, key) of each stable vertex on block; hanging is 1 below an
         edge, which the cost then counts, and 0 at the root."""
         return [(cost + hanging, (0, classes, tuple(sorted(kids))))
-                for cost, classes, kids, weight in forests(block, budget, hanging)
-                if _log_degree(0, len(kids) + hanging, weight, den) > 0]
+                for cost, classes, kids, w in forests(block, budget, hanging)
+                if _log_degree(0, len(kids) + hanging, w, den) > 0]
 
     def subtrees(block, budget):
-        if budget >= 1 and (block, budget) not in memo:
-            memo[block, budget] = vertices(block, budget - 1, 1)
-        return memo.get((block, budget), ())
+        if budget >= 1 and (block, budget) not in subtree_memo:
+            subtree_memo[block, budget] = vertices(block, budget - 1, 1)
+        return subtree_memo.get((block, budget), ())
 
-    return sorted(vertices(tuple(sorted(nums)), max_codim, 0))
+    return sorted(vertices(len(weight) - 1, max_codim, 0))
 
 
 def enumerate_strata(data: WeightData, max_codim: int, *,

@@ -202,15 +202,20 @@ class BlowupStep:
 
 
 def _chain(kind: FamilyKind, n: int) -> list[NamedFamily]:
+    """The family's members top down.  Below the family's least n, its
+    lowest member raises the family's own DomainError."""
     if kind == FamilyKind.KAPRANOV_X:
+        kapranov_x(n, 0)
         return [kapranov_x(n, k) for k in range(n - 4, -1, -1)]
     if kind == FamilyKind.KEEL_Y:
+        keel_y(n, 0)
         if n > 7:
             raise DomainError(
                 "the canonical equal-weight Y representatives stop being "
                 "componentwise comparable across the tower splice for n > 7")
         return [keel_y(n, k) for k in range(2 * n - 9, -1, -1)]
     if kind == FamilyKind.KAPRANOV_W:
+        kapranov_w(n, 1, 1)
         pairs = [(r, s) for r in range(1, n - 2) for s in range(1, n - r - 1)]
         pairs.sort(reverse=True)
         return [kapranov_w(n, r, s) for r, s in pairs]

@@ -19,11 +19,11 @@ combinations and the rows free of the variable enter the next stage, so
 a search adding one row at a time pays for the new pairs only.
 
 Interior points are reconstructed deterministically by back-substitution
-through the stages (`_point`), taking the midpoint of each feasible
-interval.  It runs on integers too: the fixed values are numerators over
-one running denominator, a stage's limits are compared by
-cross-multiplying, and a `Fraction` is built once per coordinate, at the
-end.  Each interval is a fiber of a projection of the solution set,
+through the stages (`_scaled_point`), taking the midpoint of each
+feasible interval.  It runs on integers too: the fixed values are
+numerators over one running denominator, a stage's limits are compared by
+cross-multiplying, and `_point` builds a `Fraction` once per coordinate,
+at the end.  Each interval is a fiber of a projection of the solution set,
 so without equalities a point depends on the solution set only: rows an
 incremental stage keeps beyond a from-scratch one (combinations of a row
 later displaced by a tighter parallel one) are implied and move no limit.
@@ -259,10 +259,15 @@ def _stages(variables):
 
 
 def _point(stages, dimension: int) -> list:
+    """`_scaled_point` as one Fraction per coordinate."""
+    nums, den = _scaled_point(stages, dimension)
+    return [Fraction(x, den) for x in nums]
+
+
+def _scaled_point(stages, dimension: int) -> tuple[list, int]:
     """Back-substitution through the stages, the last variable first.  The
     fixed values are integer numerators `nums` over one running denominator
-    `den`, raised only when a pick needs it; a Fraction is built once per
-    coordinate, at the end."""
+    `den`, raised only when a pick needs it."""
     nums, den = [0] * dimension, 1
     for var, kept in reversed(stages):
         p, q = _pick(var, kept.values(), nums, den)
@@ -273,7 +278,7 @@ def _point(stages, dimension: int) -> list:
             nums = [x * scale for x in nums]
             den *= scale
         nums[var] = p * (den // q)
-    return [Fraction(x, den) for x in nums]
+    return nums, den
 
 
 def _solve_rows(dimension: int, ineqs, eqs, want_point: bool):

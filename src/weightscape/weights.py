@@ -23,7 +23,8 @@ from . import jsonio
 from .errors import (BoundarySumMismatch, DegreeNotPositive, DomainError,
                      InternalInvariantError, LimitExceeded, OnWall,
                      WeightOutOfRange)
-from .ratcore import Fraction, rat_str, rational, _extend, _point, _stages
+from .ratcore import (Fraction, rat_str, rational, _extend, _scaled_point,
+                      _stages)
 
 DEFAULT_ENUM_LIMIT = 8
 CACHE_ENV_VAR = "WEIGHTSCAPE_CACHE"
@@ -225,11 +226,11 @@ def _positions(data: WeightData, granularity: Granularity) -> tuple[Position, ..
                  for e in map(data.excess, subsets))
 
 
-def _in_domain(data: WeightData) -> bool:
-    """0 < a_j <= 1 and 2g-2+sum(a) > 0, tested on the `scaled` numerators."""
-    nums, den = data.scaled
-    return all(0 < x <= den for x in nums.values()) and \
-        (2 * data.genus - 2) * den + sum(nums.values()) > 0
+def _in_domain(genus: int, nums, den: int) -> bool:
+    """0 < a_j <= 1 and 2g-2+sum(a) > 0 for the weights a_j = x / den, x in
+    the collection nums."""
+    return all(0 < x <= den for x in nums) and \
+        (2 * genus - 2) * den + sum(nums) > 0
 
 
 def same_chamber(a: WeightData, b: WeightData, granularity: Granularity) -> bool:
@@ -297,7 +298,8 @@ def _cached_chambers(path: str, genus: int, n: int,
                     if str(parsed[s]) != s:
                         return None
             rep = WeightData(genus, tuple(map(parsed.__getitem__, strings)))
-            if not _in_domain(rep):
+            nums, den = rep.scaled
+            if not _in_domain(genus, nums.values(), den):
                 return None
             vec = SignVector(genus, n, granularity,
                              _positions(rep, granularity))
@@ -381,8 +383,10 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     def descend(index: int, stages):
         if index == len(wall_list):
             vec = SignVector(genus, n, granularity, tuple(signs))
-            rep = WeightData(genus, tuple(_point(stages, n)))
-            if not _in_domain(rep):
+            nums, den = _scaled_point(stages, n)
+            inside = _in_domain(genus, nums, den)
+            rep = WeightData(genus, tuple(Fraction(x, den) for x in nums))
+            if not inside:
                 raise InternalInvariantError(
                     f"the point {rep.to_json_dict()} of the {granularity.value}"
                     f" chamber {vec.codes()} leaves the domain")

@@ -251,6 +251,45 @@ def unpruned_strata(data, max_codim):
     return tuple(strata)
 
 
+def tuple_stratum_keys(nums, den, max_codim):
+    """The tuple-based stratum key generator: blocks as marking tuples from
+    `combinations`, a per-block `sum`, and sub-partitions regenerated each
+    time they are met.  Same contract as `curves._stratum_keys`."""
+    memo = {}
+
+    def forests(rest, budget, lead):
+        if not rest:
+            yield 0, (), (), 0
+            return
+        first, others = rest[0], rest[1:]
+        for size in range(len(others) + 1):
+            for extra in combinations(others, size):
+                block = (first,) + extra
+                left = tuple(m for m in others if m not in extra)
+                weight = sum(nums[m] for m in block)
+                options = [(size, ((block, False),), (), weight)] \
+                    if weight <= den and size <= budget else []
+                if lead == 2 or lead == 1 and left:
+                    options += [(cost, (), (key,), 0)
+                                for cost, key in subtrees(block, budget)]
+                for cost, classes, kids, w in options:
+                    for more in forests(left, budget - cost, 2):
+                        yield (cost + more[0], classes + more[1],
+                               kids + more[2], w + more[3])
+
+    def vertices(block, budget, hanging):
+        return [(cost + hanging, (0, classes, tuple(sorted(kids))))
+                for cost, classes, kids, weight in forests(block, budget, hanging)
+                if (len(kids) + hanging - 2) * den + weight > 0]
+
+    def subtrees(block, budget):
+        if budget >= 1 and (block, budget) not in memo:
+            memo[block, budget] = vertices(block, budget - 1, 1)
+        return memo.get((block, budget), ())
+
+    return sorted(vertices(tuple(sorted(nums)), max_codim, 0))
+
+
 def fraction_prune(rows):
     """Fourier-Motzkin pruning with Fraction bounds: each row divided by
     the gcd of its coefficients only, parallel rows compared as Fractions."""

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -312,6 +313,26 @@ def test_named_subcommands():
         == [("X(2)", 10), ("X(1)", 5)]
 
 
+@pytest.mark.parametrize("family, tag, n, message", [
+    ("Y", "Y(0)", "4", "the Y chain needs n >= 5"),
+    ("W", "W(1,1)", "3", "the (r,s) tower needs n >= 4"),
+    ("X", "X(0)", "3", "the X chain needs n >= 4"),
+    ("X", "X(0)", "-5", "the X chain needs n >= 4"),
+])
+def test_blowup_seq_rejects_missing_family(family, tag, n, message):
+    """Exit 1 with the error `named-weights` gives for the family at n."""
+    expected = (1, "", f"error: {message}\n")
+    assert invoke(["blowup-seq", "--family", family, "--n", n,
+                   "--json"]) == expected
+    assert invoke(["named-weights", "--family", tag, "--n", n]) == expected
+
+
+@pytest.mark.parametrize("family", ["X", "W"])
+def test_blowup_seq_single_member_has_no_steps(family):
+    assert invoke_json(["blowup-seq", "--family", family, "--n", "4"]) == \
+        {"steps": []}
+
+
 def test_file_and_stdin_payloads(tmp_path, monkeypatch):
     path = tmp_path / "weights.json"
     path.write_text(W4)
@@ -331,3 +352,35 @@ def test_no_decimal_rendering():
                  ["lc-keel", "--n", "7", "--alpha", "1/4", "--beta", "1/2"]):
         _, out, _ = invoke(argv + ["--json"])
         assert not re.search(r"\d+\.\d+", out)
+
+
+# sha256 of `strata --json` stdout at n = 7, as computed by the tuple-based
+# stratum generator before stratum keys moved to bitmasks: output order,
+# vertex ids and class order must stay byte for byte the same
+GOLDEN_STRATA = {
+    ("1", 0): "2b479bfd30b89dae6171dd6cd44fec22648bdc426bbf9de69ba72c3b82fdc2b6",
+    ("1", 1): "54ee63c410fc213dc0dfd161ac98d2664eeeb50b860e622308fa5db4e63b6e2c",
+    ("1", 2): "977da740cf81a1d34ef3ce12713af6d721374da19bb35aa44ab174891a55d116",
+    ("1", 3): "9d608494085e9891b90cd07ddbaafa9ac5aad71fdf12b0209d909ea95eaebdfb",
+    ("1", 4): "a03405a2ef725dbecdc8f3d4e6d86b77dbb2879e81dc775821eacb00c4851095",
+    ("mixed", 0): "2b479bfd30b89dae6171dd6cd44fec22648bdc426bbf9de69ba72c3b82fdc2b6",
+    ("mixed", 1): "f642809c39eac7ffa9dca05e0e2548457d2377609338a9edfc682b7734473ac9",
+    ("mixed", 2): "39c433d2ced2128daa348a4e1536abf2b9d8603bb12f69d1fbfd01ab4609b7f4",
+    ("mixed", 3): "f100e860020bae1ab40a1d568ec58b7ee48ad189487b9d879e79704dac8f01a5",
+    ("mixed", 4): "cea9b50469de9a6a3c7469b108b1333f5694c2572ab4f8d613757df2c5e625c0",
+}
+# pairs and triples that sum to exactly 1 sit on the class and leaf bounds
+STRATA_WEIGHTS = {
+    "1": ["1"] * 7,
+    "mixed": ["1", "3/4", "1/2", "1/2", "1/3", "1/4", "1/6"],
+}
+
+
+@pytest.mark.parametrize("weights, max_codim", sorted(GOLDEN_STRATA))
+def test_strata_json_golden_bytes(weights, max_codim):
+    payload = json.dumps({"genus": 0, "weights": STRATA_WEIGHTS[weights]})
+    code, out, err = invoke(["strata", "--weights", payload, "--max-codim",
+                             str(max_codim), "--json"])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == GOLDEN_STRATA[weights, max_codim]

@@ -131,6 +131,23 @@ class TestBlowupSequence:
         with pytest.raises(DomainError):
             ws.blowup_sequence(FamilyKind.KEEL_Y, 8)
 
+    @pytest.mark.parametrize("kind, n, message", [
+        (FamilyKind.KEEL_Y, 4, "the Y chain needs n >= 5"),
+        (FamilyKind.KAPRANOV_W, 3, r"the \(r,s\) tower needs n >= 4"),
+        (FamilyKind.KAPRANOV_X, 3, "the X chain needs n >= 4"),
+        (FamilyKind.KAPRANOV_X, -5, "the X chain needs n >= 4"),
+        (FamilyKind.KEEL_Y, -5, "the Y chain needs n >= 5"),
+    ])
+    def test_chain_below_its_least_n_is_domain_error(self, kind, n, message):
+        """The same error the family's own constructor raises at that n."""
+        with pytest.raises(DomainError, match=message):
+            ws.blowup_sequence(kind, n)
+
+    @pytest.mark.parametrize("kind", [FamilyKind.KAPRANOV_X,
+                                      FamilyKind.KAPRANOV_W])
+    def test_single_member_chain_has_no_steps(self, kind):
+        assert ws.blowup_sequence(kind, 4) == ()
+
     def test_w_chain_first_step_n6(self):
         steps = ws.blowup_sequence(FamilyKind.KAPRANOV_W, 6)
         # ascending construction ends W(1,2) -> W(1,1); top starts the list

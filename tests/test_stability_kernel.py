@@ -6,15 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import weightscape as ws
-from weightscape.curves import MarkClass
+from weightscape.curves import MarkClass, _stratum_keys
 from weightscape.errors import DomainError
 from weightscape.weights import Mode
 
 from conftest import (fraction_is_stable, fraction_log_degree,
-                      random_stable_tree, random_weight_data, unpruned_strata)
+                      random_stable_tree, random_weight_data,
+                      tuple_stratum_keys, unpruned_strata)
 
 F = Fraction
 
@@ -140,6 +141,56 @@ def test_enumerate_strata_matches_unpruned_search(n):
         for max_codim in range(n - 2):
             assert ws.enumerate_strata(data, max_codim) == \
                 unpruned_strata(data, max_codim)
+
+
+@st.composite
+def boundary_weights(draw):
+    """STRICT weight data whose first k weights (k >= 2 unless 0) sum to
+    exactly 1, shuffled: that block is a legal class of sum 1, and a leaf
+    holding it has log degree exactly 0."""
+    n = draw(st.integers(3, 7))
+    den = draw(st.integers(2, 7))
+    k = draw(st.sampled_from([0] + list(range(2, min(n, den) + 1))))
+    cuts = sorted(draw(st.sets(st.integers(1, den - 1),
+                               min_size=max(k - 1, 0),
+                               max_size=max(k - 1, 0)))) if k else []
+    block = [b - a for a, b in zip([0] + cuts, cuts + [den])] if k else []
+    rest = draw(st.lists(st.integers(1, den), min_size=n - k,
+                         max_size=n - k))
+    numerators = draw(st.permutations(block + rest))
+    assume(sum(numerators) > 2 * den)
+    return ws.validate(0, [F(x, den) for x in numerators])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=boundary_weights())
+@example(data=ws.validate(0, [F(1, 2)] * 6))
+@example(data=ws.validate(0, [F(1, 3)] * 7))
+@example(data=ws.validate(0, [1, F(1, 4), F(3, 4), F(1, 2), F(1, 2)]))
+def test_stratum_keys_match_tuple_generator(data):
+    """The bitmask generator against the tuple-based one at every codimension
+    bound, and for n <= 6 the strata against the unpruned search, whose
+    levels do not depend on the bound."""
+    nums, den = data.scaled
+    unpruned = unpruned_strata(data, data.n - 3) if data.n <= 6 else None
+    for max_codim in range(data.n - 2):
+        assert _stratum_keys(nums, den, max_codim) == \
+            tuple_stratum_keys(nums, den, max_codim)
+        if unpruned is not None:
+            assert ws.enumerate_strata(data, max_codim) == tuple(
+                s for s in unpruned if s.codimension <= max_codim)
+
+
+def test_boundary_weights_reach_both_bounds():
+    """With weights 1/2 every pair is a class of sum exactly 1 and a leaf of
+    log degree exactly 0: classes of two appear, leaves of two do not."""
+    strata = ws.enumerate_strata(ws.validate(0, [F(1, 2)] * 6), 3)
+    assert any(len(c.markings) == 2 for s in strata
+               for v in s.tree.vertices for c in v.classes)
+    for s in strata:
+        for v in s.tree.vertices:
+            if s.tree.valence(v.id) == 1:
+                assert sum(len(c.markings) for c in v.classes) > 2
 
 
 @pytest.mark.parametrize("max_codim", [-1, 1.0, 0.5, True, "1", None])

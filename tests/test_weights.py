@@ -198,13 +198,38 @@ class TestEnumerateChambers:
                                                           point, breach):
         from weightscape import weights
         from weightscape.errors import InternalInvariantError
-        monkeypatch.setattr(weights, "_point", lambda stages, n: list(point))
+        nums, den = weights.integer_scaled(dict(enumerate(point)))
+        monkeypatch.setattr(weights, "_scaled_point",
+                            lambda stages, n: (list(nums.values()), den))
         if not breach:
             chambers = ws.enumerate_chambers(0, 4, FINE)
             assert {c.representative.weights for c in chambers} == {point}
             return
         with pytest.raises(InternalInvariantError, match="leaves the domain"):
             ws.enumerate_chambers(0, 4, FINE)
+
+    @pytest.mark.parametrize("nums, den, breach", [
+        ([6, 4, 4, 4], 4, True),     # a_1 = 3/2 over a den that is no lcm
+        ([2, 2, 2, 2], 4, True),     # sum = 2 exactly
+        ([4, 4, 4, 4], 4, False),    # every a_j = 1
+        ([4, 2, 2, 2], 4, False),    # sum = 5/2
+    ])
+    def test_leaf_domain_on_running_denominator(self, monkeypatch, nums,
+                                                den, breach):
+        """The leaf tests the numerators over back-substitution's running
+        denominator, which need not be the lcm of the reduced weights."""
+        from weightscape import weights
+        from weightscape.errors import InternalInvariantError
+        monkeypatch.setattr(weights, "_scaled_point",
+                            lambda stages, n: (list(nums), den))
+        if breach:
+            with pytest.raises(InternalInvariantError,
+                               match=r"the point .* leaves the domain"):
+                ws.enumerate_chambers(0, 4, FINE)
+        else:
+            chambers = ws.enumerate_chambers(0, 4, FINE)
+            assert {c.representative.weights for c in chambers} == \
+                {tuple(F(x, den) for x in nums)}
 
     def test_n4_round_trip_and_no_duplicates(self):
         chambers = ws.enumerate_chambers(0, 4, FINE)
