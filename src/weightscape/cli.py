@@ -41,14 +41,15 @@ class _Payload(dict):
 
 def _read_payload(raw: str) -> dict:
     raw = raw.strip()
-    if raw == "-":
-        text = sys.stdin.read()
-    elif raw.startswith("{") or raw.startswith("["):
-        text = raw
-    else:
-        with open(raw, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        # a file or stdin that is not UTF-8 raises UnicodeDecodeError here
+        if raw == "-":
+            text = sys.stdin.read()
+        elif raw.startswith("{") or raw.startswith("["):
+            text = raw
+        else:
+            with open(raw, "r", encoding="utf-8") as fh:
+                text = fh.read()
         payload = json.loads(text, object_hook=_Payload)
     except (ValueError, RecursionError) as exc:
         raise DomainError(f"cannot parse JSON payload: {exc}")

@@ -159,36 +159,38 @@ def marked_tree(vertices, edges=()) -> MarkedTree:
 
 
 def _check_tree(tree: MarkedTree):
-    ids = [v.id for v in tree.vertices]
-    if not ids:
+    """One pass over the edges and one over the vertices.  In the order in
+    which a failure is reported: some vertex, unique ids, edge ends in the
+    tree, nonnegative genera, disjoint classes, connectivity."""
+    vertices = tree.vertices
+    if not vertices:
         raise DomainError("a tree needs at least one vertex")
-    if len(set(ids)) != len(ids):
+    adjacency: dict[int, list[int]] = {v.id: [] for v in vertices}
+    if len(adjacency) != len(vertices):
         raise DomainError("vertex ids must be unique")
-    id_set = set(ids)
     for a, b in tree.edges:
-        if a not in id_set or b not in id_set:
+        if a not in adjacency or b not in adjacency:
             raise DomainError(f"edge ({a},{b}) references a missing vertex")
-    for v in tree.vertices:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    seen: set[int] = set()
+    marked = 0
+    for v in vertices:
         if v.genus < 0:
             raise DomainError("vertex genus must be nonnegative")
-    seen: set[int] = set()
-    for v in tree.vertices:
         for c in v.classes:
-            if seen & c.markings:
-                raise DomainError("marking assigned to more than one class")
             seen.update(c.markings)
-    # connectivity
-    adjacency: dict[int, set[int]] = {i: set() for i in ids}
-    for a, b in tree.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    stack, reached = [ids[0]], {ids[0]}
+            marked += len(c.markings)
+    if len(seen) != marked:
+        raise DomainError("marking assigned to more than one class")
+    root = vertices[0].id
+    stack, reached = [root], {root}
     while stack:
         for u in adjacency[stack.pop()]:
             if u not in reached:
                 reached.add(u)
                 stack.append(u)
-    if reached != id_set:
+    if len(reached) != len(adjacency):
         raise DomainError("the dual graph must be connected")
 
 
@@ -224,7 +226,11 @@ def canonical_key(tree: MarkedTree):
 def _tree_of_key(key, shared: dict) -> MarkedTree:
     """The tree a canonical key describes: ids 1..k in preorder, children in
     key order.  `shared` maps each class key to the one MarkClass that every
-    tree built with it reuses."""
+    tree built with it reuses.
+
+    A key is in canonical order already (classes by least marking), so the
+    frozen tree is built as is; only the edges, each (parent, child), need
+    one sort.  `_check_tree` checks the result."""
     vertices, edges = [], []
 
     def build(node):
@@ -232,14 +238,21 @@ def _tree_of_key(key, shared: dict) -> MarkedTree:
         genus, classes, kids = node
         for c in classes:
             if c not in shared:
+                if not c[0]:
+                    raise DomainError("coincidence classes must be nonempty")
                 shared[c] = MarkClass(frozenset(c[0]), c[1])
-        vertices.append((nid, genus, [shared[c] for c in classes]))
+        if type(genus) is not int:  # a hand-built tree in canonical_form
+            _integer(genus, "genus")
+        vertices.append(Vertex(nid, genus, tuple([shared[c] for c in classes])))
         for kid in kids:
             edges.append((nid, build(kid)))
         return nid
 
     build(key)
-    return marked_tree(vertices, edges)
+    edges.sort()
+    tree = MarkedTree(tuple(vertices), tuple(edges))
+    _check_tree(tree)
+    return tree
 
 
 def canonical_form(tree: MarkedTree) -> MarkedTree:

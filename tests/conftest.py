@@ -251,6 +251,27 @@ def unpruned_strata(data, max_codim):
     return tuple(strata)
 
 
+def marked_tree_of_key(key, shared):
+    """The stratum tree builder that goes through `marked_tree`: every class
+    renormalized and re-sorted, every id, genus and edge end checked.  Same
+    contract as `curves._tree_of_key`."""
+    vertices, edges = [], []
+
+    def build(node):
+        nid = len(vertices) + 1
+        genus, classes, kids = node
+        for c in classes:
+            if c not in shared:
+                shared[c] = MarkClass(frozenset(c[0]), c[1])
+        vertices.append((nid, genus, [shared[c] for c in classes]))
+        for kid in kids:
+            edges.append((nid, build(kid)))
+        return nid
+
+    build(key)
+    return ws.marked_tree(vertices, edges)
+
+
 def tuple_stratum_keys(nums, den, max_codim):
     """The tuple-based stratum key generator: blocks as marking tuples from
     `combinations`, a per-block `sum`, and sub-partitions regenerated each

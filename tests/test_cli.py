@@ -1,9 +1,13 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import weightscape
 from weightscape.cli import run
 
 from conftest import CACHE_TAMPERS, tamper_chamber_cache
@@ -151,6 +155,23 @@ def test_deeply_nested_payload_is_domain_error():
     assert code == 1 and out == ""
     assert err.startswith("error: cannot parse JSON payload: ")
     assert "Traceback" not in err
+
+
+def test_non_utf8_payload_file_is_domain_error(tmp_path):
+    path = tmp_path / "weights.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = invoke(["locate", "--weights", str(path), "--json"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot parse JSON payload: ")
+    assert err.count("\n") == 1
+    # the same through a fresh process, where an escaped exception would
+    # print a traceback
+    src = os.path.dirname(os.path.dirname(weightscape.__file__))
+    child = subprocess.run(
+        [sys.executable, "-m", "weightscape.cli", "locate", "--weights",
+         str(path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (child.returncode, child.stdout, child.stderr) == (1, "", err)
 
 
 def test_library_key_error_is_internal(monkeypatch):

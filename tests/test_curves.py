@@ -532,6 +532,37 @@ def test_markings_and_ids_must_be_integers(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    ([(1, 0, [[1], []])], [], "coincidence classes must be nonempty"),
+    ([], [], "a tree needs at least one vertex"),
+    ([(1, 0, [[1]]), (1, 0, [[2]])], [], "vertex ids must be unique"),
+    ([(1, 0, [[1], [2]])], [(3, 1)], "edge (1,3) references a missing vertex"),
+    ([(1, -1, [[1]])], [], "vertex genus must be nonnegative"),
+    ([(1, 0, [[1, 2], [2, 3]])], [],
+     "marking assigned to more than one class"),
+    ([(1, 0, [[1], [2]]), (2, 0, [[2], [3]])], [(1, 2)],
+     "marking assigned to more than one class"),
+    ([(1, 0, [[1]]), (2, 0, [[2]]), (3, 0, [[3]])], [(1, 2)],
+     "the dual graph must be connected"),
+    # several faults: the first in the order above wins
+    ([(2, -1, [[1], [1]]), (2, 0, [[2]]), (4, 0, [])], [(2, 5)],
+     "vertex ids must be unique"),
+    ([(3, 0, [[1, 2]]), (1, -2, [[2]]), (2, 0, [[]])], [(1, 3)],
+     "coincidence classes must be nonempty"),
+    ([(3, 0, [[1, 2]]), (1, 0, [[2]]), (2, -1, [[3]]), (4, 0, [])],
+     [(1, 3), (4, 3)], "vertex genus must be nonnegative"),
+    ([(1, 0, [[1, 2]]), (2, 0, [[2]]), (3, 0, [[3]])], [(3, 7), (1, 6)],
+     "edge (1,6) references a missing vertex"),
+], ids=["empty-class", "no-vertex", "duplicate-id", "missing-end",
+        "negative-genus", "overlap-one-vertex", "overlap-two-vertices",
+        "disconnected", "duplicate-wins", "empty-class-wins", "genus-wins",
+        "first-edge-wins"])
+def test_marked_tree_structural_errors(vertices, edges, message):
+    with pytest.raises(DomainError) as info:
+        ws.marked_tree(vertices, edges)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("value", [0.1, True, "abc"])
 @pytest.mark.parametrize("call", [ws.is_stable,
                                   lambda tree, a: ws.vertex_log_degree(tree, 1,

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import weightscape as ws
-from weightscape.curves import MarkClass, _stratum_keys
+from weightscape import curves
+from weightscape.curves import MarkClass, _stratum_keys, _tree_of_key
 from weightscape.errors import DomainError
+from weightscape.jsonio import canonical_dumps
 from weightscape.weights import Mode
 
 from conftest import (fraction_is_stable, fraction_log_degree,
-                      random_stable_tree, random_weight_data,
-                      tuple_stratum_keys, unpruned_strata)
+                      marked_tree_of_key, random_stable_tree,
+                      random_weight_data, tuple_stratum_keys, unpruned_strata)
 
 F = Fraction
 
@@ -206,3 +208,109 @@ def test_unit_weight_counts_follow_oeis_a000311():
     for n, count in expected.items():
         assert len(ws.enumerate_strata(ws.validate(0, [1] * n), n - 3)) \
             == count
+
+
+def _assert_same_tree(key, shared, oracle_shared):
+    tree = _tree_of_key(key, shared)
+    expected = marked_tree_of_key(key, oracle_shared)
+    assert tree == expected
+    # bytes, so that a genus True would not pass for 1
+    assert canonical_dumps(tree.to_json_dict()) == \
+        canonical_dumps(expected.to_json_dict())
+    return tree
+
+
+@st.composite
+def drawn_weights(draw):
+    n = draw(st.integers(3, 7))
+    den = draw(st.integers(1, 6))
+    numerators = draw(st.lists(st.integers(1, den), min_size=n, max_size=n))
+    assume(sum(numerators) > 2 * den)
+    return ws.validate(0, [F(x, den) for x in numerators])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=drawn_weights())
+@example(data=ws.validate(0, [1] * 7))
+@example(data=ws.validate(0, [F(1, 2)] * 6))
+def test_tree_of_key_matches_marked_tree_on_stratum_keys(data):
+    """Every key of every codimension, one shared class map per builder as
+    in `enumerate_strata`."""
+    shared, oracle_shared = {}, {}
+    for _, key in _stratum_keys(*data.scaled, data.n - 3):
+        _assert_same_tree(key, shared, oracle_shared)
+
+
+@st.composite
+def decorated_trees(draw):
+    """A marked tree with up to three classes per vertex, genera up to 2,
+    node-supported flags, shuffled ids and edges given either way round."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, k)]
+    flips = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
+    ids = draw(st.permutations(range(1, k + 1)))
+    genera = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    places = draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                      st.integers(0, 2)),
+                           min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=3 * k, max_size=3 * k))
+    groups = {}
+    for marking, place in zip(draw(st.permutations(range(1, n + 1))), places):
+        groups.setdefault(place, []).append(marking)
+    vertices = [(ids[v], genera[v],
+                 [ws.mark_class(groups[v, label], flags[3 * v + label])
+                  for label in range(3) if (v, label) in groups])
+                for v in range(k)]
+    edges = [(ids[i + 1], ids[p]) if flip else (ids[p], ids[i + 1])
+             for i, (p, flip) in enumerate(zip(parents, flips))]
+    return ws.marked_tree(vertices, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=decorated_trees())
+def test_tree_of_key_matches_marked_tree_on_canonical_keys(tree):
+    key = ws.canonical_key(tree)
+    built = _assert_same_tree(key, {}, {})
+    assert ws.canonical_form(tree) == built
+    assert ws.canonical_key(built) == key
+
+
+@pytest.mark.parametrize("key", [
+    (0, (((1, 2), False), ((2, 3), False)), ()),
+    (0, (((1,), False),), ((0, (((1, 2), False),), ()),)),
+    (-1, (((1,), False),), ()),
+    (0, (((1,), False),), ((-2, (), ()),)),
+    (0, (((), False), ((1,), True)), ()),
+    (0, (((1,), False),), ((1.0, (((2,), False),), ()),)),
+    (True, (((1,), False),), ()),
+    (0.5, (((), False),), ()),
+], ids=["overlap-one-vertex", "overlap-two-vertices", "negative-root-genus",
+        "negative-child-genus", "empty-class", "float-genus", "bool-genus",
+        "empty-class-before-genus"])
+def test_tree_of_key_faults_match_marked_tree(key):
+    with pytest.raises(DomainError) as expected:
+        marked_tree_of_key(key, {})
+    with pytest.raises(DomainError) as info:
+        _tree_of_key(key, {})
+    assert str(info.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("weights, max_codim", [
+    ([1] * 6, 3), ([F(1, 2)] * 6, 3),
+    (["1", "3/4", "1/2", "1/2", "1/3", "1/4", "1/6"], 4),
+])
+def test_every_stratum_tree_is_checked(monkeypatch, weights, max_codim):
+    """`_check_tree` runs once on each returned tree, and on nothing else."""
+    checked = []
+    check = curves._check_tree
+
+    def counting(tree):
+        checked.append(tree)
+        check(tree)
+
+    monkeypatch.setattr(curves, "_check_tree", counting)
+    strata = ws.enumerate_strata(ws.validate(0, [F(w) for w in weights]),
+                                 max_codim)
+    assert len(checked) == len(strata)
+    assert all(s.tree is tree for s, tree in zip(strata, checked))
