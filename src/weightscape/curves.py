@@ -34,7 +34,7 @@ from .errors import (DomainError, InternalInvariantError,
                      WeightsNotDominated)
 from .ratcore import rational
 from .weights import (Mode, WeightData, _check_limit, _integer, _listed,
-                      integer_scaled, validate)
+                      _marks, _masks, integer_scaled, validate)
 
 WeightsLike = Union[WeightData, Mapping[int, Fraction]]
 
@@ -533,17 +533,15 @@ def _stratum_keys(nums: Mapping[int, int], den: int, max_codim: int):
     A class of size s costs s - 1 toward the codimension and an edge 1.
 
     Blocks are bitmasks over the sorted markings: `weight` and `marks` give
-    each mask's numerator sum and sorted markings, both filled once by the
-    lowest-bit recurrence.  Forests and subtrees are memoised, so no
-    sub-partition is enumerated twice.
+    each mask's numerator sum and sorted markings, both filled once by
+    doubling over the markings, as `WeightData.excess_table` is.  Forests
+    and subtrees are memoised, so no sub-partition is enumerated twice.
     """
     markings = sorted(nums)
     weight, marks = [0], [()]
-    for mask in range(1, 1 << len(markings)):
-        low = mask & -mask
-        first = markings[low.bit_length() - 1]
-        weight.append(weight[mask ^ low] + nums[first])
-        marks.append((first,) + marks[mask ^ low])
+    for m in markings:
+        weight += [w + nums[m] for w in weight]
+        marks += [s + (m,) for s in marks]
     forest_memo: dict = {}
     subtree_memo: dict = {}
 
@@ -627,22 +625,25 @@ class BoundaryDivisor:
 def boundary_divisors(data: WeightData) -> tuple[BoundaryDivisor, ...]:
     """Codimension-1 boundary: unordered partitions with both weight-sums
     above 1 (nodal) and pairs with weight-sum at most 1 (coincidence)."""
-    data = validate(data.genus, data.weights, Mode.STRICT)
+    return tuple(divisor for divisor, _ in
+                 _boundary(validate(data.genus, data.weights, Mode.STRICT)))
+
+
+def _boundary(data: WeightData) -> list[tuple[BoundaryDivisor, int]]:
+    """(divisor, bitmask of its members) for valid data, in `sort_key`
+    order: the coincidence pairs, then the nodal sides (which hold marking
+    1 and are not everything) by size and lexicographically."""
     if data.genus != 0:
         raise DomainError("boundary divisors are implemented for genus 0")
-    n = data.n
-    everything = frozenset(range(1, n + 1))
-    nodal = []
-    for size in range(1, n):
-        for rest in combinations(range(2, n + 1), size - 1):
-            side = frozenset((1,) + rest)
-            other = everything - side
-            if data.excess(side) > 0 and data.excess(other) > 0:
-                nodal.append(BoundaryDivisor(DivisorKind.NODAL, side, other))
-    pairs = [BoundaryDivisor(DivisorKind.COINCIDENCE, frozenset(p))
-             for p in combinations(range(1, n + 1), 2)
-             if data.excess(p) <= 0]
-    return tuple(sorted(nodal + pairs, key=BoundaryDivisor.sort_key))
+    table = data.excess_table()
+    full = len(table) - 1
+    order = _masks(data.n)
+    pairs = [(BoundaryDivisor(DivisorKind.COINCIDENCE, _marks(m)), m)
+             for m in order if m.bit_count() == 2 and table[m] <= 0]
+    return pairs + [
+        (BoundaryDivisor(DivisorKind.NODAL, _marks(m), _marks(full ^ m)), m)
+        for m in order if m & 1 and m != full and table[m] > 0
+        and table[full ^ m] > 0]
 
 
 class DivisorStatus(Enum):
@@ -667,28 +668,29 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
     turns into the coincidence divisor of the pair when |I| = 2.
     """
     a, b = _reduction_pair(a, b, Mode.STRICT)
+    table, den = b.excess_table(), b.scaled[1]
+    full = len(table) - 1
     fates = []
-    for divisor in boundary_divisors(a):
+    for divisor, mask in _boundary(a):
         if divisor.kind == DivisorKind.COINCIDENCE:
             fates.append(DivisorFate(divisor, DivisorStatus.PRESERVED))
             continue
-        above_i = b.excess(divisor.members) > 0
-        above_j = b.excess(divisor.complement) > 0
+        above_i = table[mask] > 0
+        above_j = table[full ^ mask] > 0
         if above_i and above_j:
             fates.append(DivisorFate(divisor, DivisorStatus.PRESERVED))
             continue
         if not (above_i or above_j):
             raise InternalInvariantError("both sides dropped to sum <= 1")
-        side = divisor.complement if above_i else divisor.members
-        other = divisor.members if above_i else divisor.complement
+        side_mask = full ^ mask if above_i else mask
+        side, other = _marks(side_mask), _marks(full ^ side_mask)
         if len(side) == 2:
             fates.append(DivisorFate(divisor, DivisorStatus.BECOMES_COINCIDENCE,
                                      collapsed_side=side))
             continue
-        wmap = b.weight_map()
         factor = validate(
-            0, tuple(wmap[j] for j in sorted(other)) + (b.subset_sum(side),),
-            Mode.ZERO_ALLOWED)
+            0, tuple(b.weights[j - 1] for j in sorted(other))
+            + (Fraction(table[side_mask] + den, den),), Mode.ZERO_ALLOWED)
         fates.append(DivisorFate(divisor, DivisorStatus.CONTRACTED,
                                  collapsed_side=side, factor_weights=factor))
     return tuple(fates)
@@ -697,11 +699,9 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
 def is_reduction_iso(a: WeightData, b: WeightData) -> bool:
     """True iff every subset crossing the sum-1 threshold has size 2."""
     a, b = _reduction_pair(a, b, Mode.STRICT)
-    for size in range(3, a.n + 1):
-        for subset in combinations(range(1, a.n + 1), size):
-            if a.excess(subset) > 0 and b.excess(subset) <= 0:
-                return False
-    return True
+    table_b = b.excess_table()
+    return not any(x > 0 and table_b[mask] <= 0 and mask.bit_count() > 2
+                   for mask, x in enumerate(a.excess_table()))
 
 
 def is_blowup_profile(data: WeightData, subset: Iterable[int]) -> bool:

@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .errors import (AtypicalLinearization, DomainError, DomainViolation,
                      InternalInvariantError)
 from .ratcore import rat_str
 from .weights import (Granularity, Mode, WeightData, _integer, _listed,
-                      locate, rationals, validate)
+                      _marks, _masks, locate, rationals, validate)
 
 _ONE = Fraction(1)
 _TWO = Fraction(2)
@@ -112,26 +111,16 @@ def stability(config: ConfigType, lin: Linearization) -> GitVerdict:
 
 def is_typical(lin: Linearization) -> bool:
     """True iff no nonempty subset of the weights sums to exactly 1."""
-    return not _unit_subsets(lin)
-
-
-def _proper_subsets(n: int):
-    """Every nonempty proper subset of 1..n, by size then lexicographically."""
-    return (s for size in range(1, n)
-            for s in combinations(range(1, n + 1), size))
-
-
-def _unit_subsets(lin: Linearization) -> list[frozenset[int]]:
-    return [frozenset(s) for s in _proper_subsets(lin.n)
-            if lin.data.excess(s) == 0]
+    return 0 not in lin.data.excess_table()  # empty, full set: -den, den
 
 
 def strictly_semistable_types(lin: Linearization) -> tuple[frozenset[int], ...]:
     """Subsets summing to exactly 1, one per complement pair; the canonical
-    representative is the side containing index 1."""
-    everything = frozenset(range(1, lin.n + 1))
-    reps = {s if 1 in s else everything - s for s in _unit_subsets(lin)}
-    return tuple(sorted(reps, key=lambda s: (len(s), tuple(sorted(s)))))
+    representative is the side containing index 1.  The weights sum to 2,
+    so a subset sums to 1 exactly when its complement does."""
+    table = lin.data.excess_table()
+    return tuple(_marks(mask) for mask in _masks(lin.n)
+                 if mask & 1 and table[mask] == 0)
 
 
 def tau(data: WeightData) -> Linearization:
@@ -151,7 +140,7 @@ def tau_fine_preimage(lin: Linearization) -> WeightData:
     """A canonical interior weight datum mapping to the given typical
     boundary point under tau: scale by s = (1 + 1/M)/2 where M is the
     largest subset sum below 1.  The result lies in an open fine chamber."""
-    excesses = list(map(lin.data.excess, _proper_subsets(lin.n)))
+    excesses = lin.data.excess_table()[1:-1]  # the nonempty proper subsets
     if 0 in excesses:
         raise AtypicalLinearization("the linearization admits a subset sum of 1")
     # M = (den + e) / den for the largest negative excess e (the full set
@@ -188,16 +177,15 @@ def chamber_matches_quotient(data: WeightData, lin: Linearization) -> QuotientMa
         raise DomainError("quotient matching is defined for genus 0")
     if data.n != lin.n:
         raise DomainError("weight data and linearization sizes differ")
-    if not is_typical(lin):
+    table_t = lin.data.excess_table()
+    if 0 in table_t:  # not is_typical(lin), on the table read below
         raise AtypicalLinearization("the linearization admits a subset sum of 1")
+    table = data.excess_table()
     mismatched, ambiguous = [], []
-    for size in range(2, data.n + 1):
-        for subset in combinations(range(1, data.n + 1), size):
-            excess = data.excess(subset)
-            allowed_curve = excess <= 0
-            allowed_git = lin.data.excess(subset) < 0
-            if excess == 0:
-                ambiguous.append(frozenset(subset))
-            if allowed_curve != allowed_git:
-                mismatched.append(frozenset(subset))
+    for mask in _masks(data.n)[data.n + 1:]:  # two markings or more
+        excess = table[mask]
+        if excess == 0:
+            ambiguous.append(_marks(mask))
+        if (excess <= 0) != (table_t[mask] < 0):  # curve vs GIT allowed
+            mismatched.append(_marks(mask))
     return QuotientMatch(not mismatched, tuple(mismatched), tuple(ambiguous))

@@ -130,32 +130,32 @@ def weights_for(family: NamedFamily) -> WeightData:
     return validate(0, ws, Mode.STRICT)
 
 
-def _threshold(data: WeightData, fixed: tuple[int, ...],
-               pool: tuple[int, ...], cut: int) -> bool:
-    """True iff, for every nonempty S in pool, fixed + S lies above its
-    wall exactly when |S| > cut."""
-    return all((data.excess(fixed + s) > 0) == (size > cut)
-               for size in range(1, len(pool) + 1)
-               for s in combinations(pool, size))
+def _threshold(table: list[int], fixed: int, pool: range, cut: int) -> bool:
+    """True iff, for every nonempty S in pool, a range of consecutive
+    markings, fixed + S lies above its wall exactly when |S| > cut; fixed
+    is a bitmask and table the datum's `excess_table`."""
+    return all((table[fixed | sub << pool.start - 1] > 0) ==
+               (sub.bit_count() > cut) for sub in range(1, 1 << len(pool)))
 
 
 def _matches_x(data: WeightData, k: int) -> bool:
     n = data.n
     if any(data.excess((i, n)) <= 0 for i in range(1, n)):
         return False
-    return _threshold(data, (), tuple(range(1, n)), n - k - 2)
+    return _threshold(data.excess_table(), 0, range(1, n), n - k - 2)
 
 
 def _matches_y(data: WeightData, k: int) -> bool:
     n = data.n
     if any(data.excess(pair) <= 0 for pair in combinations((1, 2, 3), 2)):
         return False
-    tail = tuple(range(4, n + 1))
+    table, tail = data.excess_table(), range(4, n + 1)
     if k <= n - 4:
         # first tower: thresholds on a_i + (subset of the small weights)
-        return all(_threshold(data, (i,), tail, n - 3 - k) for i in (1, 2, 3))
+        return all(_threshold(table, 1 << (i - 1), tail, n - 3 - k)
+                   for i in (1, 2, 3))
     # second tower: thresholds on the small weights alone
-    return _threshold(data, (), tail, n - 3 - (k - (n - 4)))
+    return _threshold(table, 0, tail, n - 3 - (k - (n - 4)))
 
 
 def _matches_losev_manin(data: WeightData) -> bool:
@@ -163,8 +163,7 @@ def _matches_losev_manin(data: WeightData) -> bool:
     if any(data.excess((1, i)) <= 0 for i in range(2, n + 1)) or \
             any(data.excess((2, i)) <= 0 for i in range(3, n + 1)):
         return False
-    pool = tuple(range(3, n + 1))
-    return _threshold(data, (), pool, len(pool))
+    return _threshold(data.excess_table(), 0, range(3, n + 1), n - 2)
 
 
 def classify(data: WeightData) -> tuple[NamedFamily, ...]:

@@ -23,15 +23,13 @@ from . import jsonio
 from .errors import (BoundarySumMismatch, DegreeNotPositive, DomainError,
                      InternalInvariantError, LimitExceeded, OnWall,
                      WeightOutOfRange)
-from .ratcore import (Fraction, rat_str, rational, _extend, _scaled_point,
-                      _stages)
+from .ratcore import (Fraction, rat, rat_str, rational, _extend,
+                      _scaled_point, _stages)
 
 DEFAULT_ENUM_LIMIT = 8
 CACHE_ENV_VAR = "WEIGHTSCAPE_CACHE"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_TWO = Fraction(2)
 
 
 class Mode(Enum):
@@ -66,6 +64,15 @@ class WeightData:
         nums, den = self.scaled
         return sum(map(nums.__getitem__, subset)) - den
 
+    def excess_table(self) -> list[int]:
+        """`excess` of every subset, indexed by bitmask (marking m is bit
+        m-1): 2^n integers, built by doubling over the markings."""
+        nums, den = self.scaled
+        table = [-den]
+        for w in nums.values():  # markings 1..n in order
+            table += [e + w for e in table]
+        return table
+
     @cached_property
     def scaled(self) -> tuple[dict[int, int], int]:
         """`integer_scaled` of the weights, computed once per datum; the
@@ -95,8 +102,12 @@ def rationals(values, name: str) -> tuple[Fraction, ...]:
     if not isinstance(values, (list, tuple)):
         raise DomainError(f"{name} must be a list of rationals, "
                           f"got {values!r}")
-    return tuple(rational(v, f"{name}_{i}")
-                 for i, v in enumerate(values, start=1))
+    try:
+        return tuple(map(rat, values))
+    except (TypeError, ValueError, ZeroDivisionError, DomainError):
+        # rerun by name, so the error names the first bad entry
+        return tuple(rational(v, f"{name}_{i}")
+                     for i, v in enumerate(values, start=1))
 
 
 def _listed(value, name: str, kind: type,
@@ -128,20 +139,25 @@ def validate(genus, weights, mode: Mode = Mode.STRICT) -> WeightData:
         raise DomainError("at least one weight is required")
     if mode == Mode.BOUNDARY and genus != 0:
         raise DomainError("BOUNDARY mode is defined for genus 0 only")
-    for i, w in enumerate(ws, start=1):
-        if mode == Mode.STRICT and not (_ZERO < w <= _ONE):
-            raise WeightOutOfRange(i, w, f"need 0 < a_{i} <= 1, got {w}")
-        if mode == Mode.ZERO_ALLOWED and not (_ZERO <= w <= _ONE):
-            raise WeightOutOfRange(i, w, f"need 0 <= a_{i} <= 1, got {w}")
-        if mode == Mode.BOUNDARY and not (_ZERO < w < _ONE):
-            raise WeightOutOfRange(i, w, f"need 0 < a_{i} < 1, got {w}")
-    total = sum(ws, _ZERO)
+    # integer checks on what becomes `scaled`; Fractions only in errors
+    nums, den = scaled = integer_scaled(dict(enumerate(ws, start=1)))
+    low, high, rule = {Mode.STRICT: (1, den, "0 < a_{} <= 1"),
+                       Mode.ZERO_ALLOWED: (0, den, "0 <= a_{} <= 1"),
+                       Mode.BOUNDARY: (1, den - 1, "0 < a_{} < 1")}[mode]
+    if min(nums.values()) < low or max(nums.values()) > high:
+        i = next(i for i, x in nums.items() if not low <= x <= high)
+        raise WeightOutOfRange(i, ws[i - 1],
+                               f"need {rule.format(i)}, got {ws[i - 1]}")
+    total = sum(nums.values())
     if mode == Mode.BOUNDARY:
-        if total != _TWO:
-            raise BoundarySumMismatch(f"weights must sum to 2, got {total}")
-    elif 2 * genus - 2 + total <= 0:
-        raise DegreeNotPositive(f"2g-2+sum(a) = {2 * genus - 2 + total} <= 0")
-    return WeightData(genus, ws)
+        if total != 2 * den:
+            raise BoundarySumMismatch(
+                f"weights must sum to 2, got {Fraction(total, den)}")
+    elif (degree := (2 * genus - 2) * den + total) <= 0:
+        raise DegreeNotPositive(f"2g-2+sum(a) = {Fraction(degree, den)} <= 0")
+    data = WeightData(genus, ws)
+    data.__dict__["scaled"] = scaled  # what the cached property would give
+    return data
 
 
 class Granularity(Enum):
@@ -212,6 +228,29 @@ def walls(genus: int, n: int, granularity: Granularity) -> tuple[Wall, ...]:
                  for s in combinations(range(1, n + 1), size))
 
 
+@lru_cache(maxsize=1 << 12)  # every mask up to n = 12
+def _marks(mask: int) -> frozenset[int]:
+    """The markings of a bitmask, one shared frozenset per mask."""
+    return frozenset(m for m in range(1, mask.bit_length() + 1)
+                     if mask >> (m - 1) & 1)
+
+
+@lru_cache(maxsize=None)
+def _masks(n: int) -> tuple[int, ...]:
+    """Every bitmask over n markings in the order of `combinations`: by
+    size, then lexicographically in the markings."""
+    return tuple(sum(1 << m for m in s) for size in range(n + 1)
+                 for s in combinations(range(n), size))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _wall_masks(genus: int, n: int, granularity: Granularity) -> tuple[int, ...]:
+    """The bitmask of each wall of `walls(genus, n, granularity)`, in its
+    order: marking m is bit m-1, as in `WeightData.excess_table`."""
+    return tuple(sum(1 << (m - 1) for m in wall.subset)
+                 for wall in walls(genus, n, granularity))
+
+
 def locate(data: WeightData, granularity: Granularity) -> SignVector:
     """Exact position of the weight datum against every wall."""
     validate(data.genus, data.weights, Mode.ZERO_ALLOWED)
@@ -221,9 +260,9 @@ def locate(data: WeightData, granularity: Granularity) -> SignVector:
 
 def _positions(data: WeightData, granularity: Granularity) -> tuple[Position, ...]:
     """`locate`'s positions, for a datum already known to be valid."""
-    subsets = (w.subset for w in walls(data.genus, data.n, granularity))
-    return tuple(_BY_SIGN[(e > 0) - (e < 0)]
-                 for e in map(data.excess, subsets))
+    masks = _wall_masks(data.genus, data.n, granularity)
+    return tuple([_BY_SIGN[(e > 0) - (e < 0)]
+                  for e in map(data.excess_table().__getitem__, masks)])
 
 
 def _in_domain(genus: int, nums, den: int) -> bool:
@@ -440,8 +479,8 @@ def perturb_to_fine_chamber(data: WeightData) -> WeightData:
     """
     data = validate(data.genus, data.weights, Mode.STRICT)
     slacks = [data.total - (2 - 2 * data.genus), min(data.weights)]
-    fine = walls(data.genus, data.n, Granularity.FINE)
-    gaps = [abs(e) for e in (data.excess(w.subset) for w in fine) if e]
+    masks = _wall_masks(data.genus, data.n, Granularity.FINE)
+    gaps = [abs(e) for e in map(data.excess_table().__getitem__, masks) if e]
     if gaps:
         slacks.append(Fraction(min(gaps), data.scaled[1]))
     eps = min(slacks) / 2
@@ -458,10 +497,10 @@ def universal_curve_weight(data: WeightData) -> WeightData:
     the minimum distance |sum_S a - 1| over the fine walls.  Raises OnWall
     when the input sits on a fine wall."""
     data = validate(data.genus, data.weights, Mode.STRICT)
-    fine = walls(data.genus, data.n, Granularity.FINE)
-    gaps = [abs(data.excess(wall.subset)) for wall in fine]
+    masks = _wall_masks(data.genus, data.n, Granularity.FINE)
+    gaps = list(map(abs, map(data.excess_table().__getitem__, masks)))
     if 0 in gaps:
-        wall = fine[gaps.index(0)]
+        wall = walls(data.genus, data.n, Granularity.FINE)[gaps.index(0)]
         raise OnWall(f"weight datum lies on the wall {sorted(wall.subset)}")
     # A wall-free domain (e.g. n = 3, genus 0) leaves eps unconstrained;
     # 1/2 is the canonical choice.

@@ -8,7 +8,9 @@ import pytest
 
 import weightscape as ws
 from weightscape.curves import MarkClass, Stratum
-from weightscape.ratcore import _apply_equalities, _split_rows
+from weightscape.errors import (BoundarySumMismatch, DegreeNotPositive,
+                                WeightOutOfRange)
+from weightscape.ratcore import _apply_equalities, _split_rows, rational
 from weightscape.weights import Mode
 
 
@@ -440,6 +442,36 @@ def unpruned_chambers(genus, n, granularity):
 
     descend(0)
     return found
+
+
+def fraction_validate(genus, weights, mode=Mode.STRICT):
+    """`weights.validate` on Fraction values throughout: each entry parsed
+    by name, each range and the degree compared as Fractions."""
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
+        raise ws.DomainError(
+            f"genus must be a nonnegative integer, got {genus!r}")
+    if not isinstance(weights, (list, tuple)):
+        raise ws.DomainError(f"a must be a list of rationals, got {weights!r}")
+    ws_ = tuple(rational(v, f"a_{i}") for i, v in enumerate(weights, start=1))
+    if not ws_:
+        raise ws.DomainError("at least one weight is required")
+    if mode == Mode.BOUNDARY and genus != 0:
+        raise ws.DomainError("BOUNDARY mode is defined for genus 0 only")
+    zero, one = Fraction(0), Fraction(1)
+    for i, w in enumerate(ws_, start=1):
+        if mode == Mode.STRICT and not (zero < w <= one):
+            raise WeightOutOfRange(i, w, f"need 0 < a_{i} <= 1, got {w}")
+        if mode == Mode.ZERO_ALLOWED and not (zero <= w <= one):
+            raise WeightOutOfRange(i, w, f"need 0 <= a_{i} <= 1, got {w}")
+        if mode == Mode.BOUNDARY and not (zero < w < one):
+            raise WeightOutOfRange(i, w, f"need 0 < a_{i} < 1, got {w}")
+    total = sum(ws_, zero)
+    if mode == Mode.BOUNDARY:
+        if total != 2:
+            raise BoundarySumMismatch(f"weights must sum to 2, got {total}")
+    elif 2 * genus - 2 + total <= 0:
+        raise DegreeNotPositive(f"2g-2+sum(a) = {2 * genus - 2 + total} <= 0")
+    return ws_
 
 
 def fraction_sum(weights, subset):

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import weightscape as ws
 from weightscape.errors import AtypicalLinearization, OnWall
 from weightscape.named import _matches_losev_manin, _matches_x, _matches_y
+from weightscape.weights import _wall_masks
 
 from conftest import (brute_force_boundary, fraction_divisor_fate,
                       fraction_git_stability, fraction_is_blowup_profile,
@@ -78,6 +79,24 @@ def test_excess_is_scaled_distance_to_one(data, draw):
 
 
 @SETTINGS
+@given(st.integers(0, 2), st.integers(1, 9), st.data())
+def test_excess_table_matches_excess(genus, n, data):
+    weights = tuple(data.draw(small_fraction(zero=True)) for _ in range(n))
+    assume(2 * genus - 2 + sum(weights) > 0)
+    datum = ws.validate(genus, weights, ws.Mode.ZERO_ALLOWED)
+    table = datum.excess_table()
+    assert len(table) == 1 << n
+    for size in range(n + 1):
+        for subset in combinations(range(1, n + 1), size):
+            mask = sum(1 << (m - 1) for m in subset)
+            assert table[mask] == datum.excess(subset)
+    for granularity in ws.Granularity:  # a valid datum has walls
+        assert _wall_masks(genus, n, granularity) == tuple(
+            sum(1 << (m - 1) for m in wall.subset)
+            for wall in ws.walls(genus, n, granularity))
+
+
+@SETTINGS
 @given(st.integers(0, 2), st.integers(3, 8), st.data())
 def test_locate_matches_fraction_scan(genus, n, data):
     weights = tuple(data.draw(small_fraction(zero=True)) for _ in range(n))
@@ -123,6 +142,7 @@ def test_divisor_scans_match_fraction_scans(pair):
             if d.kind == ws.DivisorKind.NODAL} == nodal
     assert {d.members for d in divisors
             if d.kind == ws.DivisorKind.COINCIDENCE} == pairs
+    assert list(divisors) == sorted(divisors, key=ws.BoundaryDivisor.sort_key)
     fates = ws.contracted_divisors(a, b)
     assert [f.divisor for f in fates] == list(divisors)
     for fate in fates:

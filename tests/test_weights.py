@@ -4,14 +4,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import weightscape as ws
 from weightscape.errors import (BoundarySumMismatch, DegreeNotPositive,
                                 DomainError, LimitExceeded, OnWall,
                                 WeightOutOfRange)
-from weightscape.weights import Granularity, Mode, Position, chambers_json
+from weightscape.weights import (Granularity, Mode, Position, chambers_json,
+                                 integer_scaled)
 
-from conftest import CACHE_TAMPERS, tamper_chamber_cache
+from conftest import CACHE_TAMPERS, fraction_validate, tamper_chamber_cache
 
 F = Fraction
 FINE = Granularity.FINE
@@ -63,6 +65,86 @@ class TestValidate:
             ws.validate(0, [True, 1, 1])
         with pytest.raises(DomainError):
             ws.validate(0, [1, 1, 1, False], Mode.ZERO_ALLOWED)
+
+
+def _outcome(check, genus, weights, mode):
+    """The weights a validator returns, or its exception's type, index
+    and message."""
+    try:
+        return ("ok", tuple(check(genus, weights, mode)))
+    except DomainError as exc:
+        return (type(exc), getattr(exc, "index", None), str(exc))
+
+
+@st.composite
+def edge_weights(draw):
+    """(genus, weights, mode) near every edge `validate` checks: entries of
+    exactly 0 or 1 among k/d for d in 1..6 and k in -1..d+1, and often a
+    last entry that makes the sum exactly 2 or 2g-2+sum(a) exactly 0.  Each
+    entry comes as a Fraction, an int when integral, or a p/q string."""
+    genus = draw(st.integers(0, 2))
+    mode = draw(st.sampled_from(list(Mode)))
+    values = []
+    for _ in range(draw(st.integers(1, 6))):
+        den = draw(st.integers(1, 6))
+        values.append(Fraction(draw(st.integers(-1, den + 1)), den))
+    target = draw(st.sampled_from([None, 2, 2 - 2 * genus]))
+    if target is not None:
+        values[-1] = target - sum(values[:-1])
+    forms = [draw(st.sampled_from(["fraction", "int", "string"]))
+             for _ in values]
+    weights = [str(v) if form == "string"
+               else v.numerator if form == "int" and v.denominator == 1
+               else v for v, form in zip(values, forms)]
+    return genus, weights, mode
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_weights())
+@example((0, [0, 1, 1, 1], Mode.ZERO_ALLOWED))
+@example((0, [0, 1, 1, 1], Mode.STRICT))
+@example((0, ["1/2", "1/2", "1/2", "1/2"], Mode.BOUNDARY))
+@example((0, [1, "1/2", "1/2"], Mode.BOUNDARY))
+@example((0, ["1/2", "1/2", "1/2", "1/2"], Mode.STRICT))
+@example((1, [0], Mode.ZERO_ALLOWED))
+@example((1, [Fraction(1, 3)], Mode.BOUNDARY))
+@example((0, [1, "3/2", -1], Mode.ZERO_ALLOWED))
+def test_validate_matches_fraction_validate(case):
+    genus, weights, mode = case
+    expected = _outcome(fraction_validate, genus, weights, mode)
+    got = _outcome(lambda g, w, m: ws.validate(g, w, m).weights,
+                   genus, weights, mode)
+    assert got == expected
+    if got[0] == "ok":
+        data = ws.validate(genus, weights, mode)
+        assert all(type(w) is Fraction for w in data.weights)
+        assert data.scaled == integer_scaled(data.weight_map())
+
+
+# `validate` reads a string as Fraction(s.strip()): these forms are part of
+# the input grammar, and serialization always gives p/q in lowest terms
+@pytest.mark.parametrize("text, value, out", [
+    ("0.5", F(1, 2), "1/2"), (" 1/2", F(1, 2), "1/2"),
+    ("1e-1", F(1, 10), "1/10"), ("+1/2", F(1, 2), "1/2"),
+    ("1_0/20", F(1, 2), "1/2"), ("2/4", F(1, 2), "1/2")])
+def test_rational_strings_accepted(text, value, out):
+    data = ws.validate(0, [text, 1, 1, 1])
+    assert data.weights[0] == value
+    assert data.to_json_dict()["weights"][0] == out
+
+
+@pytest.mark.parametrize("weights, message", [
+    (["nan", 1, 1, 1], "a_1 = 'nan' is not an exact rational"),
+    (["1/0", 1, 1, 1], "a_1 = '1/0' is not an exact rational"),
+    (["1/ 2", 1, 1, 1], "a_1 = '1/ 2' is not an exact rational"),
+    (["", 1, 1, 1], "a_1 = '' is not an exact rational"),
+    ([True, 1, 1, 1], "a_1 = True is not an exact rational"),
+    ([0.5, 1, 1, 1], "a_1 = 0.5 is not an exact rational"),
+    ([1, "x", 0.5, 1], "a_2 = 'x' is not an exact rational")])
+def test_rational_strings_rejected(weights, message):
+    with pytest.raises(DomainError) as info:
+        ws.validate(0, weights)
+    assert type(info.value) is DomainError and str(info.value) == message
 
 
 class TestWalls:
