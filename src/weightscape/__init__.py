@@ -8,13 +8,12 @@ discrepancy ledgers of the standard blow-up towers.
 """
 
 from .errors import (AtypicalLinearization, BoundarySumMismatch,
-                     DegreeNotPositive, DimensionMismatch, DomainError,
-                     DomainViolation, InternalInvariantError, LimitExceeded,
+                     DegreeNotPositive, DomainError, DomainViolation,
+                     InternalInvariantError, LimitExceeded,
                      NonterminatingContraction, NotAStable, OnWall,
                      ResidualDegreeNotPositive, UnequalWeightsInBlock,
                      WeightOutOfRange, WeightsNotDominated, WeightscapeError)
-from .ratcore import (ConstraintSystem, LinearConstraint, Rational,
-                      find_interior_point, is_feasible, rat, rat_str)
+from .ratcore import Rational, rat, rat_str
 from .weights import (Chamber, Granularity, Mode, Position, SignVector, Wall,
                       WeightData, enumerate_chambers, locate,
                       perturb_to_fine_chamber, same_chamber,

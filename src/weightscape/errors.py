@@ -14,10 +14,6 @@ class DomainError(WeightscapeError):
     """Invalid input or a violated operation precondition."""
 
 
-class DimensionMismatch(DomainError):
-    pass
-
-
 class WeightOutOfRange(DomainError):
     def __init__(self, index, value, message=None):
         self.index = index

@@ -133,23 +133,23 @@ def weights_for(family: NamedFamily) -> WeightData:
 def _threshold(table: list[int], fixed: int, pool: range, cut: int) -> bool:
     """True iff, for every nonempty S in pool, a range of consecutive
     markings, fixed + S lies above its wall exactly when |S| > cut; fixed
-    is a bitmask and table the datum's `excess_table`."""
+    is a bitmask and table the datum's `excess_table`, which `classify`
+    builds once for every matcher."""
     return all((table[fixed | sub << pool.start - 1] > 0) ==
                (sub.bit_count() > cut) for sub in range(1, 1 << len(pool)))
 
 
-def _matches_x(data: WeightData, k: int) -> bool:
-    n = data.n
-    if any(data.excess((i, n)) <= 0 for i in range(1, n)):
+def _matches_x(table: list[int], n: int, k: int) -> bool:
+    if any(table[1 << i - 1 | 1 << n - 1] <= 0 for i in range(1, n)):
         return False
-    return _threshold(data.excess_table(), 0, range(1, n), n - k - 2)
+    return _threshold(table, 0, range(1, n), n - k - 2)
 
 
-def _matches_y(data: WeightData, k: int) -> bool:
-    n = data.n
-    if any(data.excess(pair) <= 0 for pair in combinations((1, 2, 3), 2)):
+def _matches_y(table: list[int], n: int, k: int) -> bool:
+    if any(table[1 << i - 1 | 1 << j - 1] <= 0
+           for i, j in combinations((1, 2, 3), 2)):
         return False
-    table, tail = data.excess_table(), range(4, n + 1)
+    tail = range(4, n + 1)
     if k <= n - 4:
         # first tower: thresholds on a_i + (subset of the small weights)
         return all(_threshold(table, 1 << (i - 1), tail, n - 3 - k)
@@ -158,12 +158,11 @@ def _matches_y(data: WeightData, k: int) -> bool:
     return _threshold(table, 0, tail, n - 3 - (k - (n - 4)))
 
 
-def _matches_losev_manin(data: WeightData) -> bool:
-    n = data.n
-    if any(data.excess((1, i)) <= 0 for i in range(2, n + 1)) or \
-            any(data.excess((2, i)) <= 0 for i in range(3, n + 1)):
+def _matches_losev_manin(table: list[int], n: int) -> bool:
+    if any(table[1 | 1 << i - 1] <= 0 for i in range(2, n + 1)) or \
+            any(table[2 | 1 << i - 1] <= 0 for i in range(3, n + 1)):
         return False
-    return _threshold(data.excess_table(), 0, range(3, n + 1), n - 2)
+    return _threshold(table, 0, range(3, n + 1), n - 2)
 
 
 def classify(data: WeightData) -> tuple[NamedFamily, ...]:
@@ -173,17 +172,17 @@ def classify(data: WeightData) -> tuple[NamedFamily, ...]:
     data = validate(data.genus, data.weights, Mode.STRICT)
     if data.genus != 0:
         raise DomainError("named families live in genus 0")
-    n = data.n
+    n, table = data.n, data.excess_table()
     hits: list[NamedFamily] = []
     if n >= 4:
         for k in range(0, n - 3):
-            if _matches_x(data, k):
+            if _matches_x(table, n, k):
                 hits.append(kapranov_x(n, k))
     if n >= 5:
         for k in range(0, 2 * n - 8):
-            if _matches_y(data, k):
+            if _matches_y(table, n, k):
                 hits.append(keel_y(n, k))
-    if n >= 3 and _matches_losev_manin(data):
+    if n >= 3 and _matches_losev_manin(table, n):
         hits.append(losev_manin(n))
     return tuple(hits)
 

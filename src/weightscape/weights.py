@@ -23,8 +23,7 @@ from . import jsonio
 from .errors import (BoundarySumMismatch, DegreeNotPositive, DomainError,
                      InternalInvariantError, LimitExceeded, OnWall,
                      WeightOutOfRange)
-from .ratcore import (Fraction, rat, rat_str, rational, _extend,
-                      _scaled_point, _stages)
+from .ratcore import rat, rat_str, rational, _extend, _scaled_point, _stages
 
 DEFAULT_ENUM_LIMIT = 8
 CACHE_ENV_VAR = "WEIGHTSCAPE_CACHE"

@@ -10,7 +10,7 @@ import weightscape as ws
 from weightscape.curves import MarkClass, Stratum
 from weightscape.errors import (BoundarySumMismatch, DegreeNotPositive,
                                 WeightOutOfRange)
-from weightscape.ratcore import _apply_equalities, _split_rows, rational
+from weightscape.ratcore import rational
 from weightscape.weights import Mode
 
 
@@ -376,17 +376,14 @@ def fraction_pick_value(var, rows, values):
     return lower[0]
 
 
-def fraction_solve_rows(dimension, ineqs, eqs, want_point):
-    """Reference Fourier-Motzkin solver with Fraction bounds and limits,
-    same elimination order and midpoint rule as `ratcore._solve_rows`."""
-    pivoted = _apply_equalities(ineqs, eqs)
-    if pivoted is None:
-        return False, None
-    rows, subs = pivoted
-    sub_vars = {p for p, _, _ in subs}
+def fraction_solve(dimension, rows, want_point):
+    """Reference Fourier-Motzkin solver on integer rows (coeffs, bound,
+    strict) with Fraction bounds and limits: (feasible, point or None).
+    Same elimination order (x_0 first) and midpoint rule as the stages
+    of `ratcore._extend` and `ratcore._point`."""
     stages = []
     rows = fraction_prune(rows)
-    for v in (v for v in range(dimension) if v not in sub_vars):
+    for v in range(dimension):
         if rows is None:
             return False, None
         stages.append((v, rows))
@@ -398,18 +395,7 @@ def fraction_solve_rows(dimension, ineqs, eqs, want_point):
     values = [None] * dimension
     for v, staged in reversed(stages):
         values[v] = fraction_pick_value(v, staged, values)
-    for pivot, eq_coeffs, eq_const in reversed(subs):
-        acc = Fraction(eq_const)
-        for i, e in enumerate(eq_coeffs):
-            if i != pivot and e != 0:
-                acc -= e * values[i]
-        values[pivot] = acc / eq_coeffs[pivot]
     return True, tuple(values)
-
-
-def fraction_find_interior_point(system):
-    ineqs, eqs = _split_rows(system)
-    return fraction_solve_rows(system.dimension, ineqs, eqs, True)[1]
 
 
 def unpruned_chambers(genus, n, granularity):
@@ -424,7 +410,7 @@ def unpruned_chambers(genus, n, granularity):
     signs, found = [], []
 
     def descend(index):
-        feasible, point = fraction_solve_rows(n, rows, [], True)
+        feasible, point = fraction_solve(n, rows, True)
         if not feasible:
             return
         if index == len(wall_list):

@@ -174,6 +174,25 @@ def test_non_utf8_payload_file_is_domain_error(tmp_path):
     assert (child.returncode, child.stdout, child.stderr) == (1, "", err)
 
 
+def test_imports_only_the_standard_library():
+    # `dependencies = []`: importing the package and its CLI in a fresh
+    # process loads no top-level module outside the standard library.
+    # Modules the interpreter loaded before the import (site hooks) are
+    # the environment's, not the package's.
+    src = os.path.dirname(os.path.dirname(weightscape.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules)\n"
+         "import weightscape, weightscape.cli\n"
+         "print(*sorted({m.partition('.')[0] for m in sys.modules\n"
+         "               if m not in before}))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    loaded = set(child.stdout.split())
+    assert "weightscape" in loaded
+    assert loaded - {"weightscape"} <= sys.stdlib_module_names
+
+
 def test_library_key_error_is_internal(monkeypatch):
     from weightscape import curves
 

@@ -1,19 +1,38 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightscape.errors import DimensionMismatch, DomainError
-from weightscape.ratcore import (ConstraintSystem, LinearConstraint,
-                                 find_interior_point, is_feasible, rat,
-                                 rat_str)
+from weightscape.errors import DomainError
+from weightscape.ratcore import _extend, _point, _stages, rat, rat_str
+
+from conftest import fraction_solve
 
 F = Fraction
 
+# Rows are the engine's (coeffs, bound, strict): coeffs . x < bound when
+# strict, coeffs . x <= bound otherwise, all entries integers.
 
-def system(dim, *constraints):
-    return ConstraintSystem.make(dim, constraints)
+
+def solve(dim, rows):
+    """The engine's point for `rows`, eliminating x_0 first, or None when
+    the rows are infeasible."""
+    stages = _extend(_stages(range(dim)), rows)
+    return None if stages is None else tuple(_point(stages, dim))
+
+
+def holds(row, point):
+    coeffs, bound, strict = row
+    value = sum(c * x for c, x in zip(coeffs, point))
+    return value < bound if strict else value <= bound
+
+
+def integer_row(coeffs, bound, strict):
+    """A row with rational entries scaled by the least common denominator."""
+    scale = lcm(bound.denominator, *(c.denominator for c in coeffs))
+    return tuple(int(c * scale) for c in coeffs), int(bound * scale), strict
 
 
 def test_rat_parsing_and_serialization():
@@ -30,55 +49,20 @@ def test_rat_parsing_and_serialization():
 
 
 def test_open_unit_interval_feasible():
-    s = system(1, LinearConstraint.less((-1,), 0), LinearConstraint.less((1,), 1))
-    assert is_feasible(s)
-    (x,) = find_interior_point(s)
+    (x,) = solve(1, [((-1,), 0, True), ((1,), 1, True)])
     assert 0 < x < 1
 
 
 def test_strict_contradiction_infeasible():
-    s = system(1, LinearConstraint.less((-1,), 0), LinearConstraint.at_most((1,), 0))
-    assert not is_feasible(s)
-    assert find_interior_point(s) is None
-
-
-def test_equality_system_with_box_and_total():
-    # 0 < a_i <= 1, sum > 2, a_1 + a_2 = 1; (1/2, 1/2, 3/4, 3/4) shows
-    # feasibility, and the returned point must satisfy everything exactly
-    rows = []
-    for j in range(4):
-        low = tuple(Fraction(-1) if i == j else Fraction(0) for i in range(4))
-        high = tuple(Fraction(1) if i == j else Fraction(0) for i in range(4))
-        rows.append(LinearConstraint.less(low, 0))
-        rows.append(LinearConstraint.at_most(high, 1))
-    rows.append(LinearConstraint.less((Fraction(-1),) * 4, -2))
-    rows.append(LinearConstraint.equal((1, 1, 0, 0), 1))
-    s = system(4, *rows)
-    witness = (Fraction(1, 2), Fraction(1, 2), Fraction(3, 4), Fraction(3, 4))
-    assert s.satisfied_by(witness)
-    assert is_feasible(s)
-    point = find_interior_point(s)
-    assert s.satisfied_by(point)
-    assert point[0] + point[1] == 1
-
-
-def test_inconsistent_equalities():
-    s = system(2, LinearConstraint.equal((1, 1), 1),
-               LinearConstraint.equal((2, 2), 3))
-    assert not is_feasible(s)
+    assert solve(1, [((-1,), 0, True), ((1,), 0, False)]) is None
 
 
 def test_degenerate_equality_point():
-    s = system(1, LinearConstraint.at_most((1,), 2),
-               LinearConstraint.at_most((-1,), -2))
-    assert is_feasible(s)
-    assert find_interior_point(s) == (Fraction(2),)
+    assert solve(1, [((1,), 2, False), ((-1,), -2, False)]) == (Fraction(2),)
 
 
 def test_strict_pinch_infeasible():
-    s = system(1, LinearConstraint.less((1,), 2),
-               LinearConstraint.at_most((-1,), -2))
-    assert not is_feasible(s)
+    assert solve(1, [((1,), 2, True), ((-1,), -2, False)]) is None
 
 
 def test_parallel_rows_keep_the_strict_bound():
@@ -88,85 +72,63 @@ def test_parallel_rows_keep_the_strict_bound():
     from itertools import permutations
     for dim in (1, 2):
         ones = (1,) * dim
-        pinch = LinearConstraint.at_most((-1,) * dim, -1)
-        strict = LinearConstraint.less(ones, 1)
-        closed = LinearConstraint.at_most((3,) * dim, 3)
+        pinch = ((-1,) * dim, -1, False)
+        strict = (ones, 1, True)
+        closed = ((3,) * dim, 3, False)
         for rows in permutations([strict, closed, pinch]):
-            assert not is_feasible(system(dim, *rows))
-            assert find_interior_point(system(dim, *rows)) is None
-        for rows in permutations([LinearConstraint.at_most(ones, 1), closed,
-                                  pinch]):
-            point = find_interior_point(system(dim, *rows))
+            assert solve(dim, list(rows)) is None
+        for rows in permutations([(ones, 1, False), closed, pinch]):
+            point = solve(dim, list(rows))
             assert point is not None and sum(point) == 1
-
-
-def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        system(2, LinearConstraint.less((1,), 0))
 
 
 def test_present_iff_feasible_and_exact_membership(rng):
     for _ in range(200):
         dim = rng.randint(1, 3)
-        rows = []
-        for _ in range(rng.randint(1, 6)):
-            coeffs = tuple(Fraction(rng.randint(-4, 4)) for _ in range(dim))
-            const = Fraction(rng.randint(-6, 6))
-            rel = rng.choice(["<", "<=", "="])
-            rows.append(LinearConstraint.make(coeffs, const, rel))
-        s = system(dim, *rows)
-        feasible = is_feasible(s)
-        point = find_interior_point(s)
-        assert (point is not None) == feasible
+        rows = [(tuple(rng.randint(-4, 4) for _ in range(dim)),
+                 rng.randint(-6, 6), rng.choice([True, False]))
+                for _ in range(rng.randint(1, 6))]
+        point = solve(dim, rows)
+        assert (point is not None) == fraction_solve(dim, rows, False)[0]
         if point is not None:
-            assert s.satisfied_by(point)
+            assert all(holds(row, point) for row in rows)
 
 
 @st.composite
 def small_systems(draw):
     dim = draw(st.integers(1, 3))
-    count = draw(st.integers(1, 5))
-    rows = []
-    for _ in range(count):
-        coeffs = tuple(Fraction(draw(st.integers(-3, 3))) for _ in range(dim))
-        const = Fraction(draw(st.integers(-5, 5)))
-        rel = draw(st.sampled_from(["<", "<=", "="]))
-        rows.append(LinearConstraint.make(coeffs, const, rel))
-    return ConstraintSystem.make(dim, tuple(rows))
+    rows = [(tuple(draw(st.integers(-3, 3)) for _ in range(dim)),
+             draw(st.integers(-5, 5)), draw(st.booleans()))
+            for _ in range(draw(st.integers(1, 5)))]
+    return dim, rows
 
 
 @settings(max_examples=120, deadline=None)
 @given(small_systems(), st.randoms(use_true_random=False))
-def test_feasibility_invariant_under_permutation_and_scaling(s, rnd):
-    base = is_feasible(s)
-    shuffled = list(s.constraints)
+def test_feasibility_invariant_under_permutation_and_scaling(drawn, rnd):
+    dim, rows = drawn
+    base = solve(dim, rows) is not None
+    shuffled = list(rows)
     rnd.shuffle(shuffled)
     scaled = []
-    for c in shuffled:
-        factor = Fraction(rnd.randint(1, 5), rnd.randint(1, 5))
-        scaled.append(LinearConstraint.make(
-            tuple(factor * x for x in c.coefficients),
-            factor * c.constant, c.relation))
-    assert is_feasible(ConstraintSystem.make(s.dimension, tuple(scaled))) == base
+    for coeffs, bound, strict in shuffled:
+        factor = rnd.randint(1, 5)
+        scaled.append((tuple(factor * c for c in coeffs), factor * bound,
+                       strict))
+    assert (solve(dim, scaled) is not None) == base
 
 
-def _grid_has_witness(constraints, dim, reach=2, denom=64):
+def _grid_has_witness(rows, dim, reach=2, denom=64):
     """Exact integer scan of the grid (i/denom) over [-reach, reach]^dim."""
     import numpy as np
 
     ticks = np.arange(-reach * denom, reach * denom + 1, dtype=np.int64)
     axes = np.meshgrid(*([ticks] * dim), indexing="ij", copy=False)
     ok = np.ones(axes[0].shape, dtype=bool)
-    for c in constraints:
-        # sum(coeff * x) REL const with x = i/denom is exact in integers
-        value = sum(int(co) * ax for co, ax in zip(c.coefficients, axes))
-        bound = int(c.constant) * denom
-        if c.relation == "<":
-            ok &= value < bound
-        elif c.relation == "<=":
-            ok &= value <= bound
-        else:
-            ok &= value == bound
+    for coeffs, bound, strict in rows:
+        # sum(coeff * x) REL bound with x = i/denom is exact in integers
+        value = sum(co * ax for co, ax in zip(coeffs, axes))
+        ok &= value < bound * denom if strict else value <= bound * denom
     return bool(ok.any())
 
 
@@ -175,49 +137,44 @@ def test_grid_oracle_agreement(rng):
     # integer data bounded by 10, grid step 1/64
     for trial in range(60):
         dim = rng.randint(1, 3)
-        rows = []
-        for _ in range(rng.randint(1, 4)):
-            coeffs = tuple(Fraction(rng.randint(-10, 10)) for _ in range(dim))
-            const = Fraction(rng.randint(-10, 10))
-            rows.append(LinearConstraint.make(coeffs, const,
-                                              rng.choice(["<", "<=", "="])))
-        s = ConstraintSystem.make(dim, tuple(rows))
+        rows = [(tuple(rng.randint(-10, 10) for _ in range(dim)),
+                 rng.randint(-10, 10), rng.choice([True, False]))
+                for _ in range(rng.randint(1, 4))]
         # dim 3 scans the 1/8 sublattice of the 1/64 grid to bound runtime;
         # any witness found there is a 1/64-grid witness
         denom = 64 if dim <= 2 else 8
         if _grid_has_witness(rows, dim, denom=denom):
-            assert is_feasible(s)
+            assert solve(dim, rows) is not None
 
 
 @st.composite
 def rational_systems(draw):
-    """Dimension 1-4, up to six rows of <, <= and =, rational entries, and
-    up to three multiples of drawn rows with a shifted bound or another
-    relation, so parallel and opposite rows meet in the pruning."""
+    """Dimension 1-4, up to six rows with rational entries, and up to three
+    multiples of drawn rows with a shifted bound and a drawn strictness, so
+    parallel and opposite rows meet in the pruning; each row is scaled to
+    integers."""
     dim = draw(st.integers(1, 4))
     entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
-    rows = [LinearConstraint.make(
-                tuple(draw(entry) for _ in range(dim)),
-                Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))),
-                draw(st.sampled_from(["<", "<=", "="])))
+    rows = [(tuple(draw(entry) for _ in range(dim)),
+             Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))),
+             draw(st.booleans()))
             for _ in range(draw(st.integers(1, 6)))]
     for _ in range(draw(st.integers(0, 3))):
-        row = draw(st.sampled_from(rows))
+        coeffs, bound, _ = draw(st.sampled_from(rows))
         factor = Fraction(draw(st.sampled_from([-2, -1, 1, 2, 3])),
                           draw(st.integers(1, 3)))
         shift = Fraction(draw(st.integers(-1, 1)), 2)
-        rows.append(LinearConstraint.make(
-            tuple(factor * c for c in row.coefficients),
-            factor * (row.constant + shift), draw(st.sampled_from(["<", "<="]))))
-    return ConstraintSystem.make(dim, tuple(rows))
+        rows.append((tuple(factor * c for c in coeffs),
+                     factor * (bound + shift), draw(st.booleans())))
+    return dim, [integer_row(*row) for row in rows]
 
 
 @settings(max_examples=300, deadline=None)
 @given(rational_systems())
-def test_interior_point_matches_fraction_oracle(s):
+def test_interior_point_matches_fraction_oracle(drawn):
     # the integer kernel rescales rows only, so its point is the oracle's
-    from conftest import fraction_find_interior_point
-    assert find_interior_point(s) == fraction_find_interior_point(s)
+    dim, rows = drawn
+    assert solve(dim, rows) == fraction_solve(dim, rows, True)[1]
 
 
 @pytest.fixture
@@ -251,8 +208,6 @@ def test_incremental_elimination_matches_from_scratch(drawn, data):
     # adding rows in drawn batches to the stages of the rows before them,
     # and a sibling row to the same parent stages, gives the feasibility
     # and the exact point of elimination from scratch and of the oracle
-    from conftest import fraction_solve_rows
-    from weightscape.ratcore import _extend, _point, _solve_rows, _stages
     dim, rows = drawn
     stages, done = _stages(range(dim)), 0
     while done < len(rows) and stages is not None:
@@ -262,11 +217,11 @@ def test_incremental_elimination_matches_from_scratch(drawn, data):
         for added in (batch, [sibling], batch):
             prefix = rows[:done] + added
             extended = _extend(stages, added)
-            expected = _solve_rows(dim, prefix, [], True)
-            assert expected == fraction_solve_rows(dim, prefix, [], True)
-            assert (extended is not None) == expected[0]
+            expected = solve(dim, prefix)
+            assert expected == fraction_solve(dim, prefix, True)[1]
+            assert (extended is not None) == (expected is not None)
             if extended is not None:
-                assert tuple(_point(extended, dim)) == expected[1]
+                assert tuple(_point(extended, dim)) == expected
         stages, done = extended, done + size
 
 
@@ -318,7 +273,6 @@ _Y_HALF = _stage(1, ((0, -1), 0, True), ((0, 1), 1, True))
         "uppers-cross-reversed", "lowers-cross", "lowers-cross-reversed",
         "closed-point", "closed-point-over-den"])
 def test_back_substitution_cases(stages, expected):
-    from weightscape.ratcore import _point
     assert _point(stages, len(expected)) == expected
     assert _fraction_point(stages, len(expected)) == expected
 
@@ -339,7 +293,6 @@ def test_back_substitution_cases(stages, expected):
         "strict-upper-over-den"])
 def test_back_substitution_empty_interval(stages):
     from weightscape.errors import InternalInvariantError
-    from weightscape.ratcore import _point
     dimension = max(var for var, _ in stages) + 1
     with pytest.raises(InternalInvariantError, match="empty interval"):
         _point(stages, dimension)
@@ -351,7 +304,6 @@ def test_back_substitution_empty_interval(stages):
 @given(row_sequences(), st.data())
 def test_point_matches_fraction_back_substitution(drawn, data):
     # after every row a search would add, in a drawn elimination order
-    from weightscape.ratcore import _extend, _point, _stages
     dim, rows = drawn
     stages = _stages(data.draw(st.permutations(range(dim))))
     for row in rows:

@@ -251,14 +251,15 @@ def near_named(draw):
 @example(_weights("3/4", "1", "1/3", "2/5", "1/4"))
 @example(_weights("1", "4/5", "3/5", "1/5"))
 def test_named_thresholds_match_fraction_scans(data):
-    n = data.n
-    assert _matches_losev_manin(data) == \
+    n, table = data.n, data.excess_table()
+    assert _matches_losev_manin(table, n) == \
         fraction_matches_losev_manin(data.weights)
     for k in range(0, n - 3):
-        assert _matches_x(data, k) == fraction_matches_x(data.weights, k)
+        assert _matches_x(table, n, k) == fraction_matches_x(data.weights, k)
     if n >= 5:
         for k in range(0, 2 * n - 8):
-            assert _matches_y(data, k) == fraction_matches_y(data.weights, k)
+            assert _matches_y(table, n, k) == \
+                fraction_matches_y(data.weights, k)
 
 
 def test_named_representatives_classify_as_themselves():

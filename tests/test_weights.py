@@ -173,22 +173,25 @@ class TestWalls:
     @pytest.mark.parametrize("granularity", [FINE, COARSE])
     @pytest.mark.parametrize("genus", [0, 1, 2])
     def test_every_subset_in_range_meets_the_domain(self, genus, granularity):
-        # the closed form against an exact solve of domain + wall per subset
-        from weightscape.ratcore import (ConstraintSystem, LinearConstraint,
-                                         is_feasible)
+        # the closed form against exact solves per subset: the domain is
+        # convex, so the wall sum_S a = 1 meets it exactly when the domain
+        # meets both closed half-spaces sum_S a <= 1 and sum_S a >= 1
+        from conftest import fraction_solve
         for n in range(3 if genus == 0 else 1, 10):
             sizes = range(2, n - 1) if granularity == FINE else range(3, n - 2)
-            domain = [LinearConstraint.less((-1,) * n, 2 * genus - 2)]
+            domain = [((-1,) * n, 2 * genus - 2, True)]
             for j in range(n):
                 unit = tuple(int(i == j) for i in range(n))
-                domain.append(LinearConstraint.less([-c for c in unit], 0))
-                domain.append(LinearConstraint.at_most(unit, 1))
+                domain.append((tuple(-c for c in unit), 0, True))
+                domain.append((unit, 1, False))
             meets = []
             for size in sizes:
                 for s in combinations(range(1, n + 1), size):
-                    wall = LinearConstraint.equal(
-                        [int(i in s) for i in range(1, n + 1)], 1)
-                    if is_feasible(ConstraintSystem.make(n, domain + [wall])):
+                    side = tuple(int(i in s) for i in range(1, n + 1))
+                    below = (side, 1, False)
+                    above = (tuple(-c for c in side), -1, False)
+                    if all(fraction_solve(n, domain + [half], False)[0]
+                           for half in (below, above)):
                         meets.append(frozenset(s))
             assert [w.subset for w in ws.walls(genus, n, granularity)] == meets
 
