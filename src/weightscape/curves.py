@@ -12,12 +12,15 @@ has weight-sum <= 1 and every vertex has positive log degree
 integer kernel: numerators over the weights' common denominator den, and
 valences from one pass over the edges; a class is bad iff its numerator
 sum exceeds den, a vertex iff (2g_v - 2 + valence) * den plus its sum is
-<= 0.  Lowering the weights is realized combinatorially by `stabilize`,
-which repeatedly contracts the offending vertices: a valence-1 vertex is
-deleted and its markings merge into a single class at the attachment
-point, a valence-2 vertex is squeezed out by contracting one incident edge
-and its (weight-zero) markings land at the resulting node.  Marking labels
-are 1-based and are never relabeled.
+<= 0.  Lowering the weights (`stabilize`) and dropping markings (`forget`)
+are one contraction loop, `_contract`: each round it contracts the vertex
+of lowest id with nonpositive log degree.  A valence-1 vertex is deleted
+and its markings, with any at its node, merge into one class at the
+attachment point (type I); a valence-2 vertex is squeezed out, its two
+nodes become one edge, and its (weight-zero) markings ride on that edge
+with any already at either node, ending as one node-supported class of the
+edge's lower end (type II).  Marking labels are 1-based and are never
+relabeled.
 """
 
 from __future__ import annotations
@@ -348,112 +351,67 @@ def _stability(tree: MarkedTree, nums: Mapping[int, int],
         node_support_violations=tuple(node_bad))
 
 
-class _Graph:
-    """Mutable scratch copy used by the contraction loop.
-
-    Edges carry identity keys and node-supported classes remember which
-    edge (node of the curve) they sit at, so that squeezing out a chain of
-    weight-zero components merges everything landing on the resulting
-    single node into one class, independent of contraction order.  Classes
-    from the input tree carry no edge association (the serialized format
-    has none) and are treated as sitting at a surviving node.
-    """
-
-    def __init__(self, tree: MarkedTree):
-        self.genus = {v.id: v.genus for v in tree.vertices}
-        # class records: (markings, node_supported, edge_key or None)
-        self.classes = {v.id: [(set(c.markings), c.node_supported, None)
-                               for c in v.classes] for v in tree.vertices}
-        self.edges = {i: tuple(e) for i, e in enumerate(tree.edges)}
-        self._next_edge = len(tree.edges)
-
-    def degrees(self, nums, den) -> dict[int, int]:
-        """den times the log degree of every vertex (the integer kernel)."""
-        valence = _valences(self.genus, self.edges.values())
-        return {vid: _log_degree(genus, valence[vid],
-                                 sum(nums[m] for cls, _, _ in self.classes[vid]
-                                     for m in cls), den)
-                for vid, genus in self.genus.items()}
-
-    def add_edge(self, a: int, b: int) -> int:
-        key = self._next_edge
-        self._next_edge += 1
-        self.edges[key] = (a, b)
-        return key
-
-    def pop_node_classes_at(self, vid: int, edge_keys) -> set:
-        """Remove and return the markings of vid's node-supported classes
-        sitting at one of the given edges."""
-        taken: set = set()
-        remaining = []
-        for cls, ns, key in self.classes[vid]:
-            if ns and key is not None and key in edge_keys:
-                taken.update(cls)
-            else:
-                remaining.append((cls, ns, key))
-        self.classes[vid] = remaining
-        return taken
-
-    def freeze(self) -> MarkedTree:
-        vertices = [(vid, self.genus[vid],
-                     [MarkClass(frozenset(c), ns) for c, ns, _ in classes])
-                    for vid, classes in self.classes.items()]
-        return marked_tree(vertices, list(self.edges.values()))
-
-
-def _contract_vertex(graph: _Graph, vid: int, nums):
-    valence = _valences(graph.genus, graph.edges.values())[vid]
-    incident = [k for k, (a, b) in graph.edges.items() if vid in (a, b)]
-    moved = set()
-    for cls, _, _ in graph.classes[vid]:
-        moved.update(cls)
-    if valence == 1:
-        # type I: the component is deleted; its markings, together with
-        # any markings sitting at the attachment node, land at what is now
-        # a smooth point of the neighbor.
-        a, b = graph.edges[incident[0]]
-        target = b if a == vid else a
-        del graph.edges[incident[0]]
-        moved |= graph.pop_node_classes_at(target, set(incident))
-        if moved:
-            graph.classes[target].append((moved, False, None))
-    elif valence == 2 and len(incident) == 2:
-        # type II: squeeze the component out; its two nodes become one,
-        # collecting the component's markings (all weight zero here) and
-        # whatever already sat on either disappearing node.
-        if graph.genus[vid] != 0:
-            raise InternalInvariantError("contracting a positive-genus vertex")
-        if any(nums[m] > 0 for m in moved):
-            raise InternalInvariantError(
-                "type II contraction moving positive weight")
-        ends = []
+def _contract(tree: MarkedTree, nums: Mapping[int, int],
+              den: int) -> MarkedTree:
+    """Keep each class's markings that lie in `nums`, contract until stable
+    for the numerators `nums` over `den` (see the module docstring), and
+    check the result.  `at_node` maps an edge key to the markings at that
+    node; they are popped when an end of the edge is contracted, so a chain
+    merges into one class whatever the order.  Classes of the input tree
+    carry no edge (the serialized format has none) and stay on their
+    vertex."""
+    vertices = {v.id: (v.genus, [(kept, c.node_supported) for c in v.classes
+                                 if (kept := c.markings.intersection(nums))])
+                for v in tree.vertices}
+    edges = dict(enumerate(tree.edges))
+    at_node: dict[int, set[int]] = {}
+    for _ in range(len(vertices) + 1):
+        valence = _valences(vertices, edges.values())
+        vid = min((u for u, (genus, classes) in vertices.items()
+                   if _log_degree(genus, valence[u], sum(
+                       nums[m] for c, _ in classes for m in c), den) <= 0),
+                  default=None)
+        if vid is None:
+            break
+        genus, classes = vertices.pop(vid)
+        incident = [k for k, e in edges.items() if vid in e]
+        moved = {m for c, _ in classes for m in c}
         for k in incident:
-            a, b = graph.edges[k]
-            ends.append(b if a == vid else a)
-        target = min(ends)
-        other = ends[0] if target == ends[1] else ends[1]
-        for end in set(ends):
-            moved |= graph.pop_node_classes_at(end, set(incident))
-        for k in incident:
-            del graph.edges[k]
-        new_key = graph.add_edge(*sorted((target, other)))
-        if moved:
-            graph.classes[target].append((moved, True, new_key))
+            moved.update(at_node.pop(k, ()))
+        ends = [b if a == vid else a for a, b in map(edges.pop, incident)]
+        if valence[vid] == 1:
+            # type I: the component is deleted; its markings, together with
+            # any markings at the attachment node, land at what is now a
+            # smooth point of the neighbor.
+            if moved:
+                vertices[ends[0]][1].append((moved, False))
+        elif valence[vid] == 2 and len(incident) == 2:
+            # type II: squeeze the component out; its two nodes become one
+            # edge, which keeps the first node's key and carries the
+            # component's markings (all weight zero here) and whatever
+            # already sat on either node.
+            if genus != 0:
+                raise InternalInvariantError(
+                    "contracting a positive-genus vertex")
+            if any(nums[m] > 0 for m in moved):
+                raise InternalInvariantError(
+                    "type II contraction moving positive weight")
+            edges[incident[0]] = tuple(sorted(ends))
+            if moved:
+                at_node[incident[0]] = moved
+        else:
+            raise InternalInvariantError(f"vertex {vid} has valence "
+                                         f"{valence[vid]} and nonpositive degree")
     else:
-        raise InternalInvariantError(
-            f"vertex {vid} has valence {valence} and nonpositive degree")
-    del graph.classes[vid]
-    del graph.genus[vid]
-
-
-def _contract_until_stable(graph: _Graph, nums, den) -> None:
-    rounds = len(graph.genus) + 1
-    for _ in range(rounds):
-        bad = [v for v, d in graph.degrees(nums, den).items() if d <= 0]
-        if not bad:
-            return
-        _contract_vertex(graph, min(bad), nums)
-    raise NonterminatingContraction("contraction loop failed to terminate")
+        raise NonterminatingContraction("contraction loop failed to terminate")
+    for k, marks in at_node.items():
+        vertices[edges[k][0]][1].append((marks, True))
+    result = marked_tree(
+        [(vid, genus, [MarkClass(frozenset(c), ns) for c, ns in classes])
+         for vid, (genus, classes) in vertices.items()], edges.values())
+    if not _stability(result, nums, den):
+        raise InternalInvariantError("contraction did not reach stability")
+    return result
 
 
 def _reduction_pair(a: WeightData, b: WeightData, mode_a: Mode):
@@ -481,12 +439,7 @@ def stabilize(tree: MarkedTree, a: WeightData, b: WeightData) -> MarkedTree:
     if not report:
         raise NotAStable(f"input tree is not stable for the source weights: "
                          f"{report}")
-    graph = _Graph(tree)
-    _contract_until_stable(graph, *b.scaled)
-    result = graph.freeze()
-    if not _stability(result, *b.scaled):
-        raise InternalInvariantError("contraction did not reach stability")
-    return result
+    return _contract(tree, *b.scaled)
 
 
 def forget(tree: MarkedTree, a: WeightData, keep: Iterable[int]) -> MarkedTree:
@@ -504,16 +457,7 @@ def forget(tree: MarkedTree, a: WeightData, keep: Iterable[int]) -> MarkedTree:
     if residual <= 0:
         raise ResidualDegreeNotPositive(
             f"2g-2+sum over kept weights = {Fraction(residual, den)} <= 0")
-    graph = _Graph(tree)
-    kept_set = set(kept)
-    for vid, classes in graph.classes.items():
-        graph.classes[vid] = [(cls & kept_set, ns, key)
-                              for cls, ns, key in classes if cls & kept_set]
-    _contract_until_stable(graph, nums, den)
-    result = graph.freeze()
-    if not _stability(result, nums, den):
-        raise InternalInvariantError("forgetting did not reach stability")
-    return result
+    return _contract(tree, nums, den)
 
 
 @dataclass(frozen=True)
@@ -688,9 +632,11 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
             fates.append(DivisorFate(divisor, DivisorStatus.BECOMES_COINCIDENCE,
                                      collapsed_side=side))
             continue
-        factor = validate(
-            0, tuple(b.weights[j - 1] for j in sorted(other))
-            + (Fraction(table[side_mask] + den, den),), Mode.ZERO_ALLOWED)
+        # valid for ZERO_ALLOWED without `validate`: each b_j comes from
+        # the validated b, b_I = sum of b over the side lies in [0, 1] as the
+        # side is at or below its wall, and the total is sum(b) > 2 (genus 0)
+        factor = WeightData(0, tuple(b.weights[j - 1] for j in sorted(other))
+                            + (Fraction(table[side_mask] + den, den),))
         fates.append(DivisorFate(divisor, DivisorStatus.CONTRACTED,
                                  collapsed_side=side, factor_weights=factor))
     return tuple(fates)
@@ -739,13 +685,13 @@ def degree_vanishing_case(g: int, b: int, d: int, k: int, sigma: int,
     the uncovered corner sigma = N = 2, reported as Nonvanishing.
     """
     for name, value in (("g", g), ("b", b), ("d", d)):
-        if not isinstance(value, int) or value < 0:
+        if _integer(value, name) < 0:
             raise DomainError(f"{name} must be a nonnegative integer")
-    if not isinstance(k, int) or k <= 0:
+    if _integer(k, "k") <= 0:
         raise DomainError("k must be a positive integer")
-    if not isinstance(N, int) or N < 2:
+    if _integer(N, "N") < 2:
         raise DomainError("N must be an integer >= 2")
-    if sigma not in (0, 1, 2):
+    if _integer(sigma, "sigma") not in (0, 1, 2):
         raise DomainError("sigma must be 0, 1, or 2")
     if k * (2 * g - 2 + b) + d < 1:
         raise DomainError("M is not ample: k(2g-2+b)+d < 1")

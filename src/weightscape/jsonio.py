@@ -6,7 +6,3 @@ import json
 
 def canonical_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def loads(text: str):
-    return json.loads(text)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .ratcore import rat_str, rational
+from .weights import _integer
 
 _NEG_ONE = Fraction(-1)
 
@@ -68,9 +69,9 @@ def kapranov_ledger(n: int, k: int, alpha) -> DiscrepancyLedger:
     boundary coefficient alpha: step r has canonical coefficient n-3-r and
     boundary multiplicity C(n-1-r, 2)."""
     alpha = rational(alpha, "alpha")
-    if n < 5:
+    if _integer(n, "n") < 5:
         raise DomainError("the tower needs n >= 5")
-    if not 1 <= k <= n - 4:
+    if not 1 <= _integer(k, "k") <= n - 4:
         raise DomainError(f"need 1 <= k <= n-4 = {n - 4}, got {k}")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -106,7 +107,7 @@ class AmpleLcRange:
 
 def kapranov_ample_lc_range(n: int) -> AmpleLcRange:
     """Ampleness needs alpha > 2/(n-1); log canonicity caps it at 2/(n-2)."""
-    if n < 5:
+    if _integer(n, "n") < 5:
         raise DomainError("the tower needs n >= 5")
     return AmpleLcRange(Fraction(2, n - 1), Fraction(2, n - 2))
 
@@ -139,7 +140,7 @@ def keel_ledger(n: int, alpha, beta) -> KeelLedgerResult:
     Ampleness of the base log divisor is 3 alpha + (n-4) beta > 2.
     """
     alpha, beta = rational(alpha, "alpha"), rational(beta, "beta")
-    if n < 5:
+    if _integer(n, "n") < 5:
         raise DomainError("the tower needs n >= 5")
     if alpha < 0 or beta < 0:
         raise DomainError("boundary coefficients must be nonnegative")

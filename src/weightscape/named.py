@@ -19,7 +19,7 @@ from typing import Optional
 
 from .curves import DivisorFate, DivisorStatus, contracted_divisors
 from .errors import DomainError, InternalInvariantError
-from .weights import Mode, WeightData, validate
+from .weights import Mode, WeightData, _integer, validate
 
 
 class FamilyKind(Enum):
@@ -49,33 +49,33 @@ class NamedFamily:
 
 
 def kapranov_w(n: int, r: int, s: int) -> NamedFamily:
-    if n < 4:
+    if _integer(n, "n") < 4:
         raise DomainError("the (r,s) tower needs n >= 4")
-    if not 1 <= r <= n - 3:
+    if not 1 <= _integer(r, "r") <= n - 3:
         raise DomainError(f"need 1 <= r <= n-3 = {n - 3}, got r = {r}")
-    if not 1 <= s <= n - r - 2:
+    if not 1 <= _integer(s, "s") <= n - r - 2:
         raise DomainError(f"need 1 <= s <= n-r-2 = {n - r - 2}, got s = {s}")
     return NamedFamily(FamilyKind.KAPRANOV_W, n, r=r, s=s)
 
 
 def kapranov_x(n: int, k: int) -> NamedFamily:
-    if n < 4:
+    if _integer(n, "n") < 4:
         raise DomainError("the X chain needs n >= 4")
-    if not 0 <= k <= n - 4:
+    if not 0 <= _integer(k, "k") <= n - 4:
         raise DomainError(f"need 0 <= k <= n-4 = {n - 4}, got k = {k}")
     return NamedFamily(FamilyKind.KAPRANOV_X, n, k=k)
 
 
 def keel_y(n: int, k: int) -> NamedFamily:
-    if n < 5:
+    if _integer(n, "n") < 5:
         raise DomainError("the Y chain needs n >= 5")
-    if not 0 <= k <= 2 * n - 9:
+    if not 0 <= _integer(k, "k") <= 2 * n - 9:
         raise DomainError(f"need 0 <= k <= 2n-9 = {2 * n - 9}, got k = {k}")
     return NamedFamily(FamilyKind.KEEL_Y, n, k=k)
 
 
 def losev_manin(n: int) -> NamedFamily:
-    if n < 3:
+    if _integer(n, "n") < 3:
         raise DomainError("the Losev-Manin family needs n >= 3")
     return NamedFamily(FamilyKind.LOSEV_MANIN, n)
 

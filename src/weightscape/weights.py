@@ -9,6 +9,7 @@ chambers are the feasible all-strict sign assignments over the wall set.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from dataclasses import dataclass
@@ -315,7 +316,7 @@ def _cached_chambers(path: str, genus: int, n: int,
     share a sign string.  Each distinct weight string is parsed once."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            payload = jsonio.loads(fh.read())
+            payload = json.loads(fh.read())
         entries = payload["chambers"]
         if [payload["genus"], payload["n"], payload["granularity"],
                 payload["walls"], payload["count"]] != \

@@ -7,9 +7,11 @@ from itertools import combinations, permutations
 import pytest
 
 import weightscape as ws
-from weightscape.curves import MarkClass, Stratum
+from weightscape.curves import (MarkClass, MarkedTree, Stratum, _log_degree,
+                                _stability, _valences, marked_tree)
 from weightscape.errors import (BoundarySumMismatch, DegreeNotPositive,
-                                WeightOutOfRange)
+                                InternalInvariantError,
+                                NonterminatingContraction, WeightOutOfRange)
 from weightscape.ratcore import rational
 from weightscape.weights import Mode
 
@@ -635,6 +637,167 @@ CACHE_TAMPERS = ("weight 2", "zero weight", "degree zero", "on a wall",
                  "unreduced weight", "integer weight", "zero denominator",
                  "string representative", "duplicate", "header", "list",
                  "null", "entry x")
+
+
+# The contraction loop `curves._contract` replaced, kept verbatim as the
+# reference: a mutable graph whose node-supported classes remember the edge
+# they sit at.
+class _Graph:
+    """Mutable scratch copy used by the contraction loop.
+
+    Edges carry identity keys and node-supported classes remember which
+    edge (node of the curve) they sit at, so that squeezing out a chain of
+    weight-zero components merges everything landing on the resulting
+    single node into one class, independent of contraction order.  Classes
+    from the input tree carry no edge association (the serialized format
+    has none) and are treated as sitting at a surviving node.
+    """
+
+    def __init__(self, tree: MarkedTree):
+        self.genus = {v.id: v.genus for v in tree.vertices}
+        # class records: (markings, node_supported, edge_key or None)
+        self.classes = {v.id: [(set(c.markings), c.node_supported, None)
+                               for c in v.classes] for v in tree.vertices}
+        self.edges = {i: tuple(e) for i, e in enumerate(tree.edges)}
+        self._next_edge = len(tree.edges)
+
+    def degrees(self, nums, den) -> dict[int, int]:
+        """den times the log degree of every vertex (the integer kernel)."""
+        valence = _valences(self.genus, self.edges.values())
+        return {vid: _log_degree(genus, valence[vid],
+                                 sum(nums[m] for cls, _, _ in self.classes[vid]
+                                     for m in cls), den)
+                for vid, genus in self.genus.items()}
+
+    def add_edge(self, a: int, b: int) -> int:
+        key = self._next_edge
+        self._next_edge += 1
+        self.edges[key] = (a, b)
+        return key
+
+    def pop_node_classes_at(self, vid: int, edge_keys) -> set:
+        """Remove and return the markings of vid's node-supported classes
+        sitting at one of the given edges."""
+        taken: set = set()
+        remaining = []
+        for cls, ns, key in self.classes[vid]:
+            if ns and key is not None and key in edge_keys:
+                taken.update(cls)
+            else:
+                remaining.append((cls, ns, key))
+        self.classes[vid] = remaining
+        return taken
+
+    def freeze(self) -> MarkedTree:
+        vertices = [(vid, self.genus[vid],
+                     [MarkClass(frozenset(c), ns) for c, ns, _ in classes])
+                    for vid, classes in self.classes.items()]
+        return marked_tree(vertices, list(self.edges.values()))
+
+
+def _contract_vertex(graph: _Graph, vid: int, nums):
+    valence = _valences(graph.genus, graph.edges.values())[vid]
+    incident = [k for k, (a, b) in graph.edges.items() if vid in (a, b)]
+    moved = set()
+    for cls, _, _ in graph.classes[vid]:
+        moved.update(cls)
+    if valence == 1:
+        # type I: the component is deleted; its markings, together with
+        # any markings sitting at the attachment node, land at what is now
+        # a smooth point of the neighbor.
+        a, b = graph.edges[incident[0]]
+        target = b if a == vid else a
+        del graph.edges[incident[0]]
+        moved |= graph.pop_node_classes_at(target, set(incident))
+        if moved:
+            graph.classes[target].append((moved, False, None))
+    elif valence == 2 and len(incident) == 2:
+        # type II: squeeze the component out; its two nodes become one,
+        # collecting the component's markings (all weight zero here) and
+        # whatever already sat on either disappearing node.
+        if graph.genus[vid] != 0:
+            raise InternalInvariantError("contracting a positive-genus vertex")
+        if any(nums[m] > 0 for m in moved):
+            raise InternalInvariantError(
+                "type II contraction moving positive weight")
+        ends = []
+        for k in incident:
+            a, b = graph.edges[k]
+            ends.append(b if a == vid else a)
+        target = min(ends)
+        other = ends[0] if target == ends[1] else ends[1]
+        for end in set(ends):
+            moved |= graph.pop_node_classes_at(end, set(incident))
+        for k in incident:
+            del graph.edges[k]
+        new_key = graph.add_edge(*sorted((target, other)))
+        if moved:
+            graph.classes[target].append((moved, True, new_key))
+    else:
+        raise InternalInvariantError(
+            f"vertex {vid} has valence {valence} and nonpositive degree")
+    del graph.classes[vid]
+    del graph.genus[vid]
+
+
+def _contract_until_stable(graph: _Graph, nums, den) -> None:
+    rounds = len(graph.genus) + 1
+    for _ in range(rounds):
+        bad = [v for v, d in graph.degrees(nums, den).items() if d <= 0]
+        if not bad:
+            return
+        _contract_vertex(graph, min(bad), nums)
+    raise NonterminatingContraction("contraction loop failed to terminate")
+
+
+def graph_contract(tree, nums, den):
+    """Same contract as `curves._contract`, on the `_Graph` loop above."""
+    graph = _Graph(tree)
+    kept = set(nums)
+    for vid, classes in graph.classes.items():
+        graph.classes[vid] = [(cls & kept, ns, key)
+                              for cls, ns, key in classes if cls & kept]
+    _contract_until_stable(graph, nums, den)
+    result = graph.freeze()
+    if not _stability(result, nums, den):
+        raise InternalInvariantError("contraction did not reach stability")
+    return result
+
+
+def random_nodal_curve(rng, n, attempts=500):
+    """(tree, weights): a random tree stable for zero-allowed weights, with
+    up to four vertices of random ids and genus 0 or 1, self-loops and
+    repeated edges, and node-supported classes of weight-zero markings."""
+    for _ in range(attempts):
+        ids = rng.sample(range(1, 10), rng.randint(1, 4))
+        edges = [(rng.choice(ids[:i]), ids[i]) for i in range(1, len(ids))]
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            if edges and rng.random() < 0.5:
+                edges.append(rng.choice(edges))
+            else:
+                vid = rng.choice(ids)
+                edges.append((vid, vid))
+        weights = [rng.choice((0, 1, 1, 1)) * rand_weight(rng, 4)
+                   for _ in range(n)]
+        classes = {vid: [] for vid in ids}
+        for m in range(1, n + 1):
+            vid = rng.choice(ids)
+            if classes[vid] and rng.random() < 0.3:
+                rng.choice(classes[vid]).append(m)
+            else:
+                classes[vid].append([m])
+        vertices = [(vid, rng.choice((0, 0, 0, 1)),
+                     [ws.mark_class(c, not any(weights[m - 1] for m in c)
+                                    and rng.random() < 0.3)
+                      for c in classes[vid]]) for vid in ids]
+        tree = ws.marked_tree(vertices, edges)
+        genus = tree.arithmetic_genus
+        if 2 * genus - 2 + sum(weights) <= 0:
+            continue
+        data = ws.validate(genus, weights, Mode.ZERO_ALLOWED)
+        if ws.is_stable(tree, data, Mode.ZERO_ALLOWED):
+            return tree, data
+    raise AssertionError("could not sample a stable nodal curve")
 
 
 def tamper_chamber_cache(payload, kind):

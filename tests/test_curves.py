@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import weightscape as ws
+from weightscape import curves
 from weightscape.curves import DegreeCase, DivisorKind, DivisorStatus
 from weightscape.errors import (DomainError, LimitExceeded, NotAStable,
                                 ResidualDegreeNotPositive,
                                 UnequalWeightsInBlock, WeightsNotDominated)
+from weightscape.named import FamilyKind
 from weightscape.weights import Mode
 
-from conftest import (brute_force_boundary, random_between, random_dominated,
-                      random_stable_tree, random_weight_data, relabel_tree)
+from conftest import (brute_force_boundary, graph_contract, random_between,
+                      random_dominated, random_nodal_curve, random_stable_tree,
+                      random_weight_data, relabel_tree)
 
 F = Fraction
 
@@ -308,6 +312,23 @@ class TestContractedDivisors:
                               for c in v.classes if len(c.markings) > 1}
                     assert merged == {fate.collapsed_side}
 
+    def test_factor_weights_are_valid(self, rng):
+        # the factors are built without `validate`; it must accept each as
+        # it stands
+        contracted = 0
+        for _ in range(40):
+            n = rng.randint(5, 8)
+            a = random_weight_data(rng, n)
+            b = random_dominated(rng, a)
+            for fate in ws.contracted_divisors(a, b):
+                f = fate.factor_weights
+                if f is not None:
+                    contracted += 1
+                    assert f == ws.validate(0, f.weights, Mode.ZERO_ALLOWED)
+                    assert f.scaled == \
+                        ws.validate(0, f.weights, Mode.ZERO_ALLOWED).scaled
+        assert contracted >= 20
+
     def test_kapranov_first_step(self):
         a = ws.weights_for(ws.kapranov_x(6, 1))
         b = ws.weights_for(ws.kapranov_x(6, 0))
@@ -436,6 +457,55 @@ class TestReductionProperties:
             assert ws.stabilize(out, b, b) == out
 
 
+def _outcome(call):
+    try:
+        return call().to_json_dict()
+    except ws.WeightscapeError as exc:
+        return type(exc), str(exc)
+
+
+def _new_node_classes(tree, payload):
+    """Node-supported classes of the output that the input did not have."""
+    before = {c.markings for v in tree.vertices for c in v.classes
+              if c.node_supported}
+    return [frozenset(c) for v in payload["vertices"]
+            for c, ns in zip(v["classes"], v["node_supported"])
+            if ns and frozenset(c) not in before]
+
+
+def test_contract_matches_graph_oracle(monkeypatch):
+    # stabilize and forget on random nodal curves (genus-1 vertices,
+    # self-loops, repeated edges, targets with zero weights) must give what
+    # the `_Graph` contraction loop gave, errors included
+    rng = random.Random(13)
+    cases = []
+    for _ in range(1500):
+        tree, a = random_nodal_curve(rng, rng.randint(3, 7))
+        target = a.weights
+        for _ in range(20):
+            shrunk = [w * rng.choice((0, 0, F(1, 4), F(1, 2), 1))
+                      for w in a.weights]
+            if 2 * a.genus - 2 + sum(shrunk) > 0:
+                target = shrunk
+                break
+        b = ws.validate(a.genus, target, Mode.ZERO_ALLOWED)
+        keep = rng.sample(range(1, a.n + 1), rng.randint(1, a.n))
+        cases += [(tree, partial(ws.stabilize, tree, a, b)),
+                  (tree, partial(ws.forget, tree, a, keep))]
+    got = [_outcome(call) for _, call in cases]
+    monkeypatch.setattr(curves, "_contract", graph_contract)
+    assert got == [_outcome(call) for _, call in cases]
+    # most calls give a tree; type II contractions, and chains of at least
+    # two contractions, do leave new node-supported classes
+    reduced = [(tree, out) for (tree, _), out in zip(cases, got)
+               if isinstance(out, dict)]
+    squeezed = [(tree, out) for tree, out in reduced
+                if _new_node_classes(tree, out)]
+    assert len(reduced) >= 2500 and len(squeezed) >= 100
+    assert sum(len(tree.vertices) - len(out["vertices"]) >= 2
+               for tree, out in squeezed) >= 10
+
+
 class TestZeroWeightChains:
     def test_functoriality_through_zero_targets(self):
         a = ws.validate(0, [1, 1, 1, 1, 1])
@@ -522,11 +592,39 @@ class TestTreeJson:
      "keep entry must be an integer, got 3.5"),
     (lambda: ws.is_stable(one_vertex(3), {1: 1, 2: 1, 3.0: 1}),
      "marking must be an integer, got 3.0"),
+    (lambda: ws.degree_vanishing_case(True, 3, 0, 1, 0, 2),
+     "g must be an integer, got True"),
+    (lambda: ws.degree_vanishing_case(0, 3.0, 0, 1, 0, 2),
+     "b must be an integer, got 3.0"),
+    (lambda: ws.degree_vanishing_case(0, 3, 0, 1.0, 0, 2),
+     "k must be an integer, got 1.0"),
+    (lambda: ws.degree_vanishing_case(0, 3, 0, 1, True, 2),
+     "sigma must be an integer, got True"),
+    (lambda: ws.degree_vanishing_case(0, 3, 0, 1, 0, 2.0),
+     "N must be an integer, got 2.0"),
+    (lambda: ws.kapranov_x(6.0, 1), "n must be an integer, got 6.0"),
+    (lambda: ws.kapranov_w(6, True, 1), "r must be an integer, got True"),
+    (lambda: ws.kapranov_w(6, 1, 1.0), "s must be an integer, got 1.0"),
+    (lambda: ws.keel_y(6, True), "k must be an integer, got True"),
+    (lambda: ws.losev_manin(5.0), "n must be an integer, got 5.0"),
+    (lambda: ws.blowup_sequence(FamilyKind.KAPRANOV_X, 6.0),
+     "n must be an integer, got 6.0"),
+    (lambda: ws.kapranov_ledger(6, 1.0, F(1, 2)),
+     "k must be an integer, got 1.0"),
+    (lambda: ws.kapranov_ample_lc_range(True),
+     "n must be an integer, got True"),
+    (lambda: ws.keel_ledger(6.5, F(1, 3), F(2, 3)),
+     "n must be an integer, got 6.5"),
 ], ids=["mark_class", "mark_class-bool", "vertex-id", "vertex-genus",
         "edge-end", "is_blowup_profile", "symmetrized_boundary_count",
-        "forget-keep", "weight-map-key"])
+        "forget-keep", "weight-map-key", "degree-g", "degree-b", "degree-k",
+        "degree-sigma", "degree-N", "kapranov_x", "kapranov_w-r",
+        "kapranov_w-s", "keel_y", "losev_manin", "blowup_sequence",
+        "kapranov_ledger", "kapranov_ample_lc_range", "keel_ledger"])
 def test_markings_and_ids_must_be_integers(call, message):
-    # int() would truncate 1.7 to 1 and read 1.0 as the vertex id 1
+    # int() would truncate 1.7 to 1 and read 1.0 as the vertex id 1; an
+    # integer parameter given as a bool or a float passed or ended in a
+    # TypeError traceback
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
