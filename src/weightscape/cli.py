@@ -284,10 +284,7 @@ def _dispatch(args) -> dict:
         return {"family": family.tag,
                 **named.weights_for(family).to_json_dict()}
     if cmd == "blowup-seq":
-        kind = {"W": named.FamilyKind.KAPRANOV_W,
-                "X": named.FamilyKind.KAPRANOV_X,
-                "Y": named.FamilyKind.KEEL_Y}[args.family]
-        steps = named.blowup_sequence(kind, args.n)
+        steps = named.blowup_sequence(named.FamilyKind(args.family), args.n)
         return {"steps": [
             {"source": s.source.tag, "target": s.target.tag,
              "exceptional_count": s.exceptional_count,

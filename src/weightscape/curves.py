@@ -466,25 +466,27 @@ class Stratum:
     codimension: int
 
 
-def _stratum_keys(nums: Mapping[int, int], den: int, max_codim: int):
-    """(codimension, canonical key) of every stable genus-0 tree up to
-    codimension `max_codim`, each exactly once, in sorted order.
+def _stratum_keys(data: WeightData, max_codim: int):
+    """(codimension, canonical key) of every stable genus-0 tree of the
+    valid datum up to codimension `max_codim`, each exactly once, in sorted
+    order.
 
     A vertex's contents are a set partition of its markings into classes
-    (numerator sum at most den) and subtrees, each below one new edge.  The
+    (weight sum at most 1) and subtrees, each below one new edge.  The
     first block always holds the smallest unplaced marking, so every
     unordered collection is met once; the root holds marking 1 in a class.
     A class of size s costs s - 1 toward the codimension and an edge 1.
 
-    Blocks are bitmasks over the sorted markings: `weight` and `marks` give
-    each mask's numerator sum and sorted markings, both filled once by
-    doubling over the markings, as `WeightData.excess_table` is.  Forests
-    and subtrees are memoised, so no sub-partition is enumerated twice.
+    Blocks are bitmasks (marking m is bit m-1): `weight` gives each mask's
+    numerator sum over `den`, read off `WeightData.excess_table`, and
+    `marks` its sorted markings, filled once by doubling over the
+    markings.  Forests and subtrees are memoised, so no sub-partition is
+    enumerated twice.
     """
-    markings = sorted(nums)
-    weight, marks = [0], [()]
-    for m in markings:
-        weight += [w + nums[m] for w in weight]
+    den = data.scaled[1]
+    weight = [e + den for e in data.excess_table()]
+    marks = [()]
+    for m in range(1, data.n + 1):
         marks += [s + (m,) for s in marks]
     forest_memo: dict = {}
     subtree_memo: dict = {}
@@ -548,7 +550,7 @@ def enumerate_strata(data: WeightData, max_codim: int, *,
     _check_limit(data.n, limit)
     shared: dict = {}
     return tuple(Stratum(_tree_of_key(key, shared), codim)
-                 for codim, key in _stratum_keys(*data.scaled, max_codim))
+                 for codim, key in _stratum_keys(data, max_codim))
 
 
 class DivisorKind(Enum):
@@ -716,27 +718,19 @@ def symmetrized_boundary_count(data: WeightData,
     flattened = [i for blk in block_list for i in blk]
     if sorted(flattened) != list(range(1, data.n + 1)):
         raise DomainError("blocks must partition the marking indices")
-    wmap = data.weight_map()
+    nums = data.scaled[0]
     for blk in block_list:
-        if len({wmap[i] for i in blk}) > 1:
+        if len({nums[i] for i in blk}) > 1:
             raise UnequalWeightsInBlock(
                 f"block {list(blk)} mixes distinct weights")
-    block_of = {i: bi for bi, blk in enumerate(block_list) for i in blk}
+    block_masks = [sum(1 << (i - 1) for i in blk) for blk in block_list]
 
-    def signature(subset):
-        counts = [0] * len(block_list)
-        for i in subset:
-            counts[block_of[i]] += 1
-        return tuple(counts)
+    def signature(mask):  # how many markings of each block the mask holds
+        return tuple((mask & blk).bit_count() for blk in block_masks)
 
-    orbits = set()
-    for divisor in boundary_divisors(data):
-        if divisor.kind == DivisorKind.NODAL:
-            sig = tuple(sorted((signature(divisor.members),
-                                signature(divisor.complement))))
-            orbits.add((DivisorKind.NODAL.value, sig))
-        else:
-            i, j = sorted(divisor.members)
-            orbits.add((DivisorKind.COINCIDENCE.value,
-                        tuple(sorted((block_of[i], block_of[j])))))
-    return len(orbits)
+    # an orbit is a pair's signature, or a nodal divisor's two signatures
+    full = (1 << data.n) - 1
+    return len({(divisor.kind, signature(mask))
+                if divisor.kind == DivisorKind.COINCIDENCE else
+                (divisor.kind, *sorted(map(signature, (mask, full ^ mask))))
+                for divisor, mask in _boundary(data)})

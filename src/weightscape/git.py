@@ -18,8 +18,8 @@ from typing import Iterable
 from .errors import (AtypicalLinearization, DomainError, DomainViolation,
                      InternalInvariantError)
 from .ratcore import rat_str
-from .weights import (Granularity, Mode, WeightData, _integer, _listed,
-                      _marks, _masks, locate, rationals, validate)
+from .weights import (Granularity, Mode, Position, WeightData, _integer,
+                      _listed, _marks, _masks, _positions, rationals, validate)
 
 _ONE = Fraction(1)
 _TWO = Fraction(2)
@@ -41,9 +41,6 @@ class Linearization:
     @property
     def n(self) -> int:
         return len(self.t)
-
-    def subset_sum(self, subset: Iterable[int]) -> Fraction:
-        return self.data.subset_sum(subset)
 
     def to_json_dict(self) -> dict:
         return {"t": [rat_str(v) for v in self.t]}
@@ -149,7 +146,7 @@ def tau_fine_preimage(lin: Linearization) -> WeightData:
     den = lin.data.scaled[1]
     scale = Fraction(2 * den + e, 2 * (den + e))
     data = validate(0, tuple(scale * t for t in lin.t), Mode.STRICT)
-    if locate(data, Granularity.FINE).has_on:
+    if Position.ON in _positions(data, Granularity.FINE):
         raise InternalInvariantError("scaled weights landed on a fine wall")
     return data
 

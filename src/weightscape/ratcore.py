@@ -24,12 +24,13 @@ row at a time pays for the new pairs only.
 Interior points are reconstructed deterministically by back-substitution
 through the stages (`_scaled_point`), taking the midpoint of each
 feasible interval.  It runs on integers too: the fixed values are
-numerators over one running denominator, a stage's limits are compared by
-cross-multiplying, and `_point` builds a `Fraction` once per coordinate,
-at the end.  Each interval is a fiber of a projection of the solution set,
-so a point depends on the solution set only: rows an incremental stage
-keeps beyond a from-scratch one (combinations of a row later displaced by
-a tighter parallel one) are implied and move no limit.
+numerators over one running denominator, and a stage's limits are
+compared by cross-multiplying; a caller that wants `Fraction`s builds
+one per coordinate, at the end.  Each interval is a fiber of a
+projection of the solution set, so a point depends on the solution set
+only: rows an incremental stage keeps beyond a from-scratch one
+(combinations of a row later displaced by a tighter parallel one) are
+implied and move no limit.
 """
 
 from __future__ import annotations
@@ -136,12 +137,6 @@ def _extend(stages, rows):
 def _stages(variables):
     """No rows yet, eliminating `variables` in this order."""
     return tuple((v, {}) for v in variables)
-
-
-def _point(stages, dimension: int) -> list:
-    """`_scaled_point` as one Fraction per coordinate."""
-    nums, den = _scaled_point(stages, dimension)
-    return [Fraction(x, den) for x in nums]
 
 
 def _scaled_point(stages, dimension: int) -> tuple[list, int]:

@@ -55,9 +55,6 @@ class WeightData:
         """1-based marking index -> weight."""
         return {i + 1: w for i, w in enumerate(self.weights)}
 
-    def subset_sum(self, subset: Iterable[int]) -> Fraction:
-        return sum((self.weights[i - 1] for i in subset), _ZERO)
-
     def excess(self, subset: Iterable[int]) -> int:
         """den * (sum_{j in S} a_j - 1) on the `scaled` numerators: its sign
         places S above (+), on (0) or below (-) its wall."""
@@ -209,23 +206,11 @@ class Chamber:
 @lru_cache(maxsize=None, typed=True)  # walls(True, ...) is not walls(1, ...)
 def walls(genus: int, n: int, granularity: Granularity) -> tuple[Wall, ...]:
     """All subsets in the granularity's size range, sorted by size then
-    lexicographically.  Memoized: the wall set of a (genus, n,
-    granularity) triple never changes.
-
-    Every such subset S is a wall: weight 1/|S| on S and 1 elsewhere lies
-    in the domain, on the hyperplane, since |S| <= n-2 makes the total at
-    least 3 > 2-2g.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
-        raise DomainError(f"genus must be a nonnegative integer, got {genus!r}")
-    if genus == 0 and n < 3:
-        raise DomainError("genus 0 requires n >= 3")
-    # 2 <= |S| <= n-2 when fine, 2 < |S| < n-2 (taken literally) when coarse
-    low, high = (2, n - 1) if granularity == Granularity.FINE else (3, n - 2)
-    return tuple(Wall(frozenset(s), granularity) for size in range(low, high)
-                 for s in combinations(range(1, n + 1), size))
+    lexicographically: the walls of `_wall_masks`, as marking sets.
+    Memoized: the wall set of a (genus, n, granularity) triple never
+    changes."""
+    return tuple(Wall(_marks(m), granularity)
+                 for m in _wall_masks(genus, n, granularity))
 
 
 @lru_cache(maxsize=1 << 12)  # every mask up to n = 12
@@ -245,10 +230,22 @@ def _masks(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None, typed=True)
 def _wall_masks(genus: int, n: int, granularity: Granularity) -> tuple[int, ...]:
-    """The bitmask of each wall of `walls(genus, n, granularity)`, in its
-    order: marking m is bit m-1, as in `WeightData.excess_table`."""
-    return tuple(sum(1 << (m - 1) for m in wall.subset)
-                 for wall in walls(genus, n, granularity))
+    """The bitmask of every wall, in the order of `_masks` (marking m is
+    bit m-1, as in `WeightData.excess_table`).
+
+    Every subset S in the granularity's size range is a wall: weight 1/|S|
+    on S and 1 elsewhere lies in the domain, on the hyperplane, since
+    |S| <= n-2 makes the total at least 3 > 2-2g.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
+        raise DomainError(f"genus must be a nonnegative integer, got {genus!r}")
+    if genus == 0 and n < 3:
+        raise DomainError("genus 0 requires n >= 3")
+    # 2 <= |S| <= n-2 when fine, 2 < |S| < n-2 (taken literally) when coarse
+    low, high = (2, n - 1) if granularity == Granularity.FINE else (3, n - 2)
+    return tuple(m for m in _masks(n) if low <= m.bit_count() < high)
 
 
 def locate(data: WeightData, granularity: Granularity) -> SignVector:
@@ -324,7 +321,7 @@ def _cached_chambers(path: str, genus: int, n: int,
                  [sorted(w.subset) for w in walls(genus, n, granularity)],
                  len(entries)]:
             return None
-        parsed: dict[str, Fraction] = {}
+        parsed: dict[str, tuple[Fraction, int, int]] = {}
         seen: set[str] = set()
         out = []
         for entry in entries:
@@ -333,11 +330,16 @@ def _cached_chambers(path: str, genus: int, n: int,
                 return None
             for s in strings:
                 if s not in parsed:
-                    parsed[s] = Fraction(s)
-                    if str(parsed[s]) != s:
+                    w = Fraction(s)
+                    if str(w) != s:
                         return None
-            rep = WeightData(genus, tuple(map(parsed.__getitem__, strings)))
-            nums, den = rep.scaled
+                    parsed[s] = w, w.numerator, w.denominator
+            parts = [parsed[s] for s in strings]
+            den = lcm(*(q for _, _, q in parts))
+            nums = {m: p * (den // q)
+                    for m, (_, p, q) in enumerate(parts, start=1)}
+            rep = WeightData(genus, tuple(w for w, _, _ in parts))
+            rep.__dict__["scaled"] = nums, den  # as `validate` seeds it
             if not _in_domain(genus, nums.values(), den):
                 return None
             vec = SignVector(genus, n, granularity,
@@ -383,7 +385,7 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
                 return cached
             # unreadable or stale cache entry: recompute and overwrite
 
-    wall_list = walls(genus, n, granularity)
+    masks = _wall_masks(genus, n, granularity)
     # integer solver rows (coeffs, bound, strict) for the domain 0 < a_j <= 1
     # and sum(a) > 2-2g
     rows = [(tuple(-(i == j) for i in range(n)), 0, True) for j in range(n)]
@@ -394,22 +396,22 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     # subset one smaller (all weights are positive), and in genus 0 the
     # complement (the total exceeds 2).  Walls come by size, so both are
     # decided earlier whenever they are walls.
-    index_of = {wall.subset: i for i, wall in enumerate(wall_list)}
-    full = frozenset(range(1, n + 1))
+    index_of = {mask: i for i, mask in enumerate(masks)}
+    full = (1 << n) - 1
     forcing = []  # per wall: (earlier wall, sign) pairs that imply ABOVE
-    for i, wall in enumerate(wall_list):
-        pairs = [(index_of[wall.subset - {m}], Position.ABOVE)
-                 for m in wall.subset if wall.subset - {m} in index_of]
-        if genus == 0 and index_of.get(full - wall.subset, i) < i:
-            pairs.append((index_of[full - wall.subset], Position.BELOW))
+    for i, mask in enumerate(masks):
+        pairs = [(index_of[mask ^ 1 << j], Position.ABOVE) for j in range(n)
+                 if mask >> j & 1 and mask ^ 1 << j in index_of]
+        if genus == 0 and index_of.get(full ^ mask, i) < i:
+            pairs.append((index_of[full ^ mask], Position.BELOW))
         forcing.append(pairs)
     # per wall, each side with its one-row extension: ABOVE is
     # -sum_S a < -1, BELOW is sum_S a < 1
-    sides = [[(position, [(tuple(side if i in wall.subset else 0
-                                 for i in range(1, n + 1)), side, True)])
+    sides = [[(position, [(tuple(side * (mask >> j & 1) for j in range(n)),
+                           side, True)])
               for position, side in ((Position.ABOVE, -1),
                                      (Position.BELOW, 1))]
-             for wall in wall_list]
+             for mask in masks]
     chambers: list[Chamber] = []
     signs: list[Position] = []
 
@@ -420,7 +422,7 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     # A leaf back-substitutes once, which gives the point that elimination
     # from scratch would pick, since that depends on the polyhedron only.
     def descend(index: int, stages):
-        if index == len(wall_list):
+        if index == len(masks):
             vec = SignVector(genus, n, granularity, tuple(signs))
             nums, den = _scaled_point(stages, n)
             inside = _in_domain(genus, nums, den)
@@ -487,7 +489,7 @@ def perturb_to_fine_chamber(data: WeightData) -> WeightData:
     step = eps / data.n
     shifted = validate(data.genus, tuple(w - step for w in data.weights),
                        Mode.STRICT)
-    if locate(shifted, Granularity.FINE).has_on:
+    if Position.ON in _positions(shifted, Granularity.FINE):
         raise InternalInvariantError("perturbation landed on a wall")
     return shifted
 

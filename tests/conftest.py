@@ -80,10 +80,11 @@ def brute_force_boundary(data):
     for size in range(2, n - 1):
         for side in combinations(range(1, n + 1), size):
             other = tuple(sorted(set(range(1, n + 1)) - set(side)))
-            if data.subset_sum(side) > 1 and data.subset_sum(other) > 1:
+            if fraction_sum(data.weights, side) > 1 and \
+                    fraction_sum(data.weights, other) > 1:
                 nodal.add(frozenset((frozenset(side), frozenset(other))))
     pairs = {frozenset(p) for p in combinations(range(1, n + 1), 2)
-             if data.subset_sum(p) <= 1}
+             if fraction_sum(data.weights, p) <= 1}
     return nodal, pairs
 
 
@@ -204,7 +205,7 @@ def unpruned_degenerations(tree, data):
     for v in tree.vertices:
         for i, j in combinations(range(len(v.classes)), 2):
             merged = v.classes[i].markings | v.classes[j].markings
-            if data.subset_sum(merged) > 1:
+            if fraction_sum(data.weights, merged) > 1:
                 continue
             classes = [c for k, c in enumerate(v.classes) if k not in (i, j)]
             classes.append(MarkClass(frozenset(merged), False))
@@ -382,7 +383,7 @@ def fraction_solve(dimension, rows, want_point):
     """Reference Fourier-Motzkin solver on integer rows (coeffs, bound,
     strict) with Fraction bounds and limits: (feasible, point or None).
     Same elimination order (x_0 first) and midpoint rule as the stages
-    of `ratcore._extend` and `ratcore._point`."""
+    of `ratcore._extend` and `ratcore._scaled_point`."""
     stages = []
     rows = fraction_prune(rows)
     for v in range(dimension):

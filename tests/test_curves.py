@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,9 +15,9 @@ from weightscape.errors import (DomainError, LimitExceeded, NotAStable,
 from weightscape.named import FamilyKind
 from weightscape.weights import Mode
 
-from conftest import (brute_force_boundary, graph_contract, random_between,
-                      random_dominated, random_nodal_curve, random_stable_tree,
-                      random_weight_data, relabel_tree)
+from conftest import (brute_force_boundary, graph_contract, rand_weight,
+                      random_between, random_dominated, random_nodal_curve,
+                      random_stable_tree, random_weight_data, relabel_tree)
 
 F = Fraction
 
@@ -421,6 +422,39 @@ class TestSymmetrizedCount:
         data = ws.validate(0, [1, 1, F(1, 2), F(1, 2)])
         with pytest.raises(UnequalWeightsInBlock):
             ws.symmetrized_boundary_count(data, [[1, 2, 3], [4]])
+
+    def test_matches_brute_force_orbits(self, rng):
+        # random equal-weight blocks; the oracle applies every product of
+        # in-block permutations to each divisor and counts the orbits
+        def form(divisor, perm):
+            sides = [divisor.members] + ([divisor.complement]
+                                         if divisor.complement else [])
+            return divisor.kind, frozenset(
+                frozenset(perm[m] for m in side) for side in sides)
+
+        for _ in range(60):
+            n = rng.randint(3, 7)
+            marks = list(range(1, n + 1))
+            rng.shuffle(marks)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            blocks = [marks[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+            while True:
+                level = [rand_weight(rng, 6) for _ in blocks]
+                weight_of = {m: w for blk, w in zip(blocks, level)
+                             for m in blk}
+                if sum(weight_of.values()) > 2:
+                    break
+            data = ws.validate(0, [weight_of[m] for m in range(1, n + 1)])
+            # the identity comes first
+            group = [{m: image for blk, perm in zip(blocks, images)
+                      for m, image in zip(blk, perm)}
+                     for images in product(*map(permutations, blocks))]
+            seen, orbits = set(), 0
+            for divisor in ws.boundary_divisors(data):
+                if form(divisor, group[0]) not in seen:
+                    orbits += 1
+                    seen.update(form(divisor, perm) for perm in group)
+            assert ws.symmetrized_boundary_count(data, blocks) == orbits
 
 
 class TestReductionProperties:

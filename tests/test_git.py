@@ -8,6 +8,8 @@ from weightscape.errors import (AtypicalLinearization, DomainError,
                                 DomainViolation, WeightOutOfRange)
 from weightscape.git import GitVerdict
 
+from conftest import fraction_sum
+
 F = Fraction
 
 
@@ -33,10 +35,12 @@ class TestLinearization:
         with pytest.raises(DomainError, match="^t must be a list"):
             ws.Linearization.from_json_dict({"t": t})
 
-    def test_subset_sum_is_the_weight_datas(self):
+    def test_data_excess_matches_fraction_sums(self):
         t = lin(F(1, 2), F(1, 3), F(1, 2), F(2, 3))
-        assert t.subset_sum((1, 3)) == 1 and t.data.excess((1, 3)) == 0
-        assert t.subset_sum((2, 4)) == 1 and t.subset_sum((1, 2, 4)) == F(3, 2)
+        den = t.data.scaled[1]
+        for s, total in [((1, 3), 1), ((2, 4), 1), ((1, 2, 4), F(3, 2))]:
+            assert fraction_sum(t.t, s) == total
+            assert F(t.data.excess(s), den) == total - 1
 
 
 class TestStability:
@@ -137,8 +141,8 @@ class TestSemistableTypes:
             t = random_linearization(rng, rng.randint(4, 6))
             everything = frozenset(range(1, t.n + 1))
             for s in ws.strictly_semistable_types(t):
-                assert t.subset_sum(s) == 1
-                assert t.subset_sum(everything - s) == 1
+                assert fraction_sum(t.t, s) == 1
+                assert fraction_sum(t.t, everything - s) == 1
 
 
 class TestTau:

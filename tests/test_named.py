@@ -7,6 +7,8 @@ from weightscape.curves import DivisorStatus
 from weightscape.errors import DomainError
 from weightscape.named import FamilyKind
 
+from conftest import fraction_sum
+
 F = Fraction
 
 
@@ -21,9 +23,10 @@ class TestWeightsFor:
         # the two region conditions: deleted-point sums stay at most 1,
         # the full light block exceeds 1, every pair with the heavy point
         # exceeds 1
-        assert data.subset_sum(range(1, 5)) <= 1
-        assert data.subset_sum(range(1, 6)) > 1
-        assert all(data.subset_sum((i, 6)) > 1 for i in range(1, 6))
+        assert fraction_sum(data.weights, range(1, 5)) <= 1
+        assert fraction_sum(data.weights, range(1, 6)) > 1
+        assert all(fraction_sum(data.weights, (i, 6)) > 1
+                   for i in range(1, 6))
 
     def test_kapranov_w11_n6(self):
         data = ws.weights_for(ws.kapranov_w(6, 1, 1))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightscape.errors import DomainError
-from weightscape.ratcore import _extend, _point, _stages, rat, rat_str
+from weightscape.ratcore import _extend, _scaled_point, _stages, rat, rat_str
 
 from conftest import fraction_solve
 
@@ -20,7 +20,13 @@ def solve(dim, rows):
     """The engine's point for `rows`, eliminating x_0 first, or None when
     the rows are infeasible."""
     stages = _extend(_stages(range(dim)), rows)
-    return None if stages is None else tuple(_point(stages, dim))
+    return None if stages is None else tuple(engine_point(stages, dim))
+
+
+def engine_point(stages, dim):
+    """The engine's back-substituted point, one Fraction per coordinate."""
+    nums, den = _scaled_point(stages, dim)
+    return [F(x, den) for x in nums]
 
 
 def holds(row, point):
@@ -221,7 +227,7 @@ def test_incremental_elimination_matches_from_scratch(drawn, data):
             assert expected == fraction_solve(dim, prefix, True)[1]
             assert (extended is not None) == (expected is not None)
             if extended is not None:
-                assert tuple(_point(extended, dim)) == expected
+                assert tuple(engine_point(extended, dim)) == expected
         stages, done = extended, done + size
 
 
@@ -273,7 +279,7 @@ _Y_HALF = _stage(1, ((0, -1), 0, True), ((0, 1), 1, True))
         "uppers-cross-reversed", "lowers-cross", "lowers-cross-reversed",
         "closed-point", "closed-point-over-den"])
 def test_back_substitution_cases(stages, expected):
-    assert _point(stages, len(expected)) == expected
+    assert engine_point(stages, len(expected)) == expected
     assert _fraction_point(stages, len(expected)) == expected
 
 
@@ -295,7 +301,7 @@ def test_back_substitution_empty_interval(stages):
     from weightscape.errors import InternalInvariantError
     dimension = max(var for var, _ in stages) + 1
     with pytest.raises(InternalInvariantError, match="empty interval"):
-        _point(stages, dimension)
+        engine_point(stages, dimension)
     with pytest.raises(AssertionError):
         _fraction_point(stages, dimension)
 
@@ -310,4 +316,4 @@ def test_point_matches_fraction_back_substitution(drawn, data):
         stages = _extend(stages, [row])
         if stages is None:
             break
-        assert _point(stages, dim) == _fraction_point(stages, dim)
+        assert engine_point(stages, dim) == _fraction_point(stages, dim)

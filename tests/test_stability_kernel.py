@@ -176,7 +176,7 @@ def test_stratum_keys_match_tuple_generator(data):
     nums, den = data.scaled
     unpruned = unpruned_strata(data, data.n - 3) if data.n <= 6 else None
     for max_codim in range(data.n - 2):
-        assert _stratum_keys(nums, den, max_codim) == \
+        assert _stratum_keys(data, max_codim) == \
             tuple_stratum_keys(nums, den, max_codim)
         if unpruned is not None:
             assert ws.enumerate_strata(data, max_codim) == tuple(
@@ -237,7 +237,7 @@ def test_tree_of_key_matches_marked_tree_on_stratum_keys(data):
     """Every key of every codimension, one shared class map per builder as
     in `enumerate_strata`."""
     shared, oracle_shared = {}, {}
-    for _, key in _stratum_keys(*data.scaled, data.n - 3):
+    for _, key in _stratum_keys(data, data.n - 3):
         _assert_same_tree(key, shared, oracle_shared)
 
 

@@ -13,7 +13,8 @@ from weightscape.errors import (BoundarySumMismatch, DegreeNotPositive,
 from weightscape.weights import (Granularity, Mode, Position, chambers_json,
                                  integer_scaled)
 
-from conftest import CACHE_TAMPERS, fraction_validate, tamper_chamber_cache
+from conftest import (CACHE_TAMPERS, fraction_sum, fraction_validate,
+                      tamper_chamber_cache)
 
 F = Fraction
 FINE = Granularity.FINE
@@ -224,7 +225,7 @@ class TestLocate:
         data = ws.validate(0, [1] + [F(1, 3)] * 5)
         vec = ws.locate(data, FINE)
         for wall, pos in zip(ws.walls(0, 6, FINE), vec.positions):
-            total = data.subset_sum(wall.subset)
+            total = fraction_sum(data.weights, wall.subset)
             if total > 1:
                 assert pos == Position.ABOVE
             elif total < 1:
@@ -423,6 +424,11 @@ def test_cache_hit_is_served(tmp_path, monkeypatch, genus, n, granularity):
     assert hit == cold
     assert chambers_json(genus, n, granularity, hit) == \
         chambers_json(genus, n, granularity, cold)
+    # the hit seeds each representative's numerators from the parsed
+    # weight strings, as `validate` does
+    for chamber in hit:
+        rep = chamber.representative
+        assert rep.__dict__["scaled"] == integer_scaled(rep.weight_map())
 
 
 # sha256 of chambers_json(g, n, FINE, ...) as computed before the integer
