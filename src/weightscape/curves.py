@@ -214,16 +214,21 @@ def canonical_key(tree: MarkedTree):
     for a, b in tree.edges:
         adj[a].append(b)
         adj[b].append(a)
+    return _rooted_key(next(v.id for v in tree.vertices
+                            if any(lowest in c.markings for c in v.classes)),
+                       None, by_id, adj)
 
-    def key(vid, parent):
-        v = by_id[vid]
-        return (v.genus,
-                tuple(sorted((tuple(sorted(c.markings)), c.node_supported)
-                             for c in v.classes)),
-                tuple(sorted(key(u, vid) for u in adj[vid] if u != parent)))
 
-    return key(next(v.id for v in tree.vertices
-                    if any(lowest in c.markings for c in v.classes)), None)
+def _rooted_key(vid, parent, by_id, adj):
+    """The key of the subtree at `vid` away from `parent`.  A module-level
+    helper with explicit arguments, not a nested closure: a recursive
+    closure is a function-cell cycle, which only the collector frees."""
+    v = by_id[vid]
+    return (v.genus,
+            tuple(sorted((tuple(sorted(c.markings)), c.node_supported)
+                         for c in v.classes)),
+            tuple(sorted(_rooted_key(u, vid, by_id, adj)
+                         for u in adj[vid] if u != parent)))
 
 
 def _tree_of_key(key, shared: dict) -> MarkedTree:
@@ -235,27 +240,30 @@ def _tree_of_key(key, shared: dict) -> MarkedTree:
     frozen tree is built as is; only the edges, each (parent, child), need
     one sort.  `_check_tree` checks the result."""
     vertices, edges = [], []
-
-    def build(node):
-        nid = len(vertices) + 1
-        genus, classes, kids = node
-        for c in classes:
-            if c not in shared:
-                if not c[0]:
-                    raise DomainError("coincidence classes must be nonempty")
-                shared[c] = MarkClass(frozenset(c[0]), c[1])
-        if type(genus) is not int:  # a hand-built tree in canonical_form
-            _integer(genus, "genus")
-        vertices.append(Vertex(nid, genus, tuple([shared[c] for c in classes])))
-        for kid in kids:
-            edges.append((nid, build(kid)))
-        return nid
-
-    build(key)
+    _build(key, shared, vertices, edges)
     edges.sort()
     tree = MarkedTree(tuple(vertices), tuple(edges))
     _check_tree(tree)
     return tree
+
+
+def _build(node, shared: dict, vertices: list, edges: list) -> int:
+    """Append the vertex of `node`, whose id is its place in preorder, then
+    its subtrees, each below an edge (id, child id); return the id.  Every
+    list is an argument, so no call leaves a cycle behind."""
+    nid = len(vertices) + 1
+    genus, classes, kids = node
+    for c in classes:
+        if c not in shared:
+            if not c[0]:
+                raise DomainError("coincidence classes must be nonempty")
+            shared[c] = MarkClass(frozenset(c[0]), c[1])
+    if type(genus) is not int:  # a hand-built tree in canonical_form
+        _integer(genus, "genus")
+    vertices.append(Vertex(nid, genus, tuple([shared[c] for c in classes])))
+    for kid in kids:
+        edges.append((nid, _build(kid, shared, vertices, edges)))
+    return nid
 
 
 def canonical_form(tree: MarkedTree) -> MarkedTree:
@@ -480,8 +488,14 @@ def _stratum_keys(data: WeightData, max_codim: int):
     Blocks are bitmasks (marking m is bit m-1): `weight` gives each mask's
     numerator sum over `den`, read off `WeightData.excess_table`, and
     `marks` its sorted markings, filled once by doubling over the
-    markings.  Forests and subtrees are memoised, so no sub-partition is
-    enumerated twice.
+    markings.  There is one forest memo per (rest, lead) and one subtree
+    memo per block, each a list of layers by exact cost, extended only as
+    far as some caller's room reaches.  So no partition is enumerated
+    twice, whatever the budget left above it, and a small `max_codim`
+    builds only the small layers.  The nested builders are deleted on
+    return, which breaks the cycle that each recursive closure forms with
+    its cell: the memos are then freed by reference counting, and the call
+    leaves no cyclic garbage.
     """
     den = data.scaled[1]
     weight = [e + den for e in data.excess_table()]
@@ -491,16 +505,21 @@ def _stratum_keys(data: WeightData, max_codim: int):
     forest_memo: dict = {}
     subtree_memo: dict = {}
 
-    def forests(rest, budget, lead):
-        """(cost, classes, child keys, class weight) per partition of rest.
-        Its first block, which holds the lowest bit of rest, is a class
-        when lead is 0, a class or a subtree short of all of rest when lead
-        is 1, and either when lead is 2."""
-        if not rest:
-            return [(0, (), (), 0)]
-        found = forest_memo.get((rest, budget, lead))
-        if found is not None:
-            return found
+    def forests(rest, lead, cost):
+        """(classes, child keys, class weight) per partition of rest of
+        exactly `cost`.  Its first block, which holds the lowest bit of
+        rest, is a class when lead is 0, a class or a subtree short of all
+        of rest when lead is 1, and either when lead is 2."""
+        layers = forest_memo.get((rest, lead))
+        if layers is None:
+            layers = forest_memo[rest, lead] = []
+        while len(layers) <= cost:
+            layers.append(layer(rest, lead, len(layers)))
+        return layers[cost]
+
+    def layer(rest, lead, cost):
+        if not rest:  # the one partition of nothing costs 0
+            return [] if cost else [((), (), 0)]
         low = rest & -rest
         others = rest ^ low
         found = []
@@ -508,34 +527,45 @@ def _stratum_keys(data: WeightData, max_codim: int):
         while True:
             block, left = low | sub, others ^ sub
             size = len(marks[block]) - 1
-            options = [(size, ((marks[block], False),), (), weight[block])] \
-                if weight[block] <= den and size <= budget else []
+            if size <= cost and weight[block] <= den:
+                first, w = ((marks[block], False),), weight[block]
+                for classes, kids, x in forests(left, 2, cost - size):
+                    found.append((first + classes, kids, w + x))
             if lead == 2 or lead == 1 and left:
-                options += [(cost, (), (key,), 0)
-                            for cost, key in subtrees(block, budget)]
-            for cost, classes, kids, w in options:
-                for more in forests(left, budget - cost, 2):
-                    found.append((cost + more[0], classes + more[1],
-                                  kids + more[2], w + more[3]))
+                for k in range(1, cost + 1):
+                    keys = subtrees(block, k)
+                    if keys:
+                        more = forests(left, 2, cost - k)
+                        for key in keys:
+                            for classes, kids, x in more:
+                                found.append((classes, (key,) + kids, x))
             if not sub:
                 break
             sub = (sub - 1) & others
-        forest_memo[rest, budget, lead] = found
         return found
 
-    def vertices(block, budget, hanging):
-        """(cost, key) of each stable vertex on block; hanging is 1 below an
-        edge, which the cost then counts, and 0 at the root."""
-        return [(cost + hanging, (0, classes, tuple(sorted(kids))))
-                for cost, classes, kids, w in forests(block, budget, hanging)
+    def vertices(block, hanging, cost):
+        """The key of each stable vertex on block of exactly `cost`;
+        hanging is 1 below an edge, which the cost then counts, and 0 at
+        the root."""
+        return [(0, classes, tuple(sorted(kids)))
+                for classes, kids, w in forests(block, hanging, cost - hanging)
                 if _log_degree(0, len(kids) + hanging, w, den) > 0]
 
-    def subtrees(block, budget):
-        if budget >= 1 and (block, budget) not in subtree_memo:
-            subtree_memo[block, budget] = vertices(block, budget - 1, 1)
-        return subtree_memo.get((block, budget), ())
+    def subtrees(block, cost):
+        layers = subtree_memo.get(block)
+        if layers is None:
+            layers = subtree_memo[block] = [[]]  # an edge costs 1
+        while len(layers) <= cost:
+            layers.append(vertices(block, 1, len(layers)))
+        return layers[cost]
 
-    return sorted(vertices(len(weight) - 1, max_codim, 0))
+    try:
+        full = len(weight) - 1
+        return [(codim, key) for codim in range(max_codim + 1)
+                for key in sorted(vertices(full, 0, codim))]
+    finally:
+        del forests, layer, vertices, subtrees
 
 
 def enumerate_strata(data: WeightData, max_codim: int, *,

@@ -445,7 +445,12 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
                 descend(index + 1, extended)
                 signs.pop()
 
-    descend(0, _extend(_stages(range(n)), rows))  # the domain is never empty
+    try:  # the domain is never empty
+        descend(0, _extend(_stages(range(n)), rows))
+    finally:
+        # a recursive closure and its cell form a cycle; emptying the cell
+        # lets reference counting free the search state on return
+        del descend
     result = tuple(chambers)
 
     if cache_dir:

@@ -2,6 +2,7 @@
 conftest, and stratum generation against the unpruned breadth-first
 search."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -169,6 +170,9 @@ def boundary_weights(draw):
 @example(data=ws.validate(0, [F(1, 2)] * 6))
 @example(data=ws.validate(0, [F(1, 3)] * 7))
 @example(data=ws.validate(0, [1, F(1, 4), F(3, 4), F(1, 2), F(1, 2)]))
+@example(data=ws.validate(0, [1] * 7))
+@example(data=ws.validate(0, [1, 1] + [F(1, 5)] * 4))  # Losev-Manin
+@example(data=ws.validate(0, [1] + [F(1, 4)] * 5))  # Kapranov
 def test_stratum_keys_match_tuple_generator(data):
     """The bitmask generator against the tuple-based one at every codimension
     bound, and for n <= 6 the strata against the unpruned search, whose
@@ -181,6 +185,19 @@ def test_stratum_keys_match_tuple_generator(data):
         if unpruned is not None:
             assert ws.enumerate_strata(data, max_codim) == tuple(
                 s for s in unpruned if s.codimension <= max_codim)
+
+
+def test_interleaved_stratum_key_calls_share_nothing():
+    """Calls on two data, alternating and with the bound falling then
+    rising, each give the keys of the tuple-based generator: no memo
+    outlives its call."""
+    data = [ws.validate(0, [1] * 6),
+            random_weight_data(random.Random(15), 6)]
+    expected = {(i, c): tuple_stratum_keys(*d.scaled, c)
+                for i, d in enumerate(data) for c in range(4)}
+    for c in [3, 2, 1, 0, 0, 1, 2, 3]:
+        for i, d in enumerate(data):
+            assert _stratum_keys(d, c) == expected[i, c]
 
 
 def test_boundary_weights_reach_both_bounds():
@@ -314,3 +331,49 @@ def test_every_stratum_tree_is_checked(monkeypatch, weights, max_codim):
                                  max_codim)
     assert len(checked) == len(strata)
     assert all(s.tree is tree for s, tree in zip(strata, checked))
+
+
+def _garbage_after(call):
+    """How many unreachable objects the collector finds after one warm
+    call, with the collector paused so that none is freed before the
+    count.  Zero means reference counting freed everything the call left
+    behind."""
+    call()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_SEEDED = random_weight_data(random.Random(1500), 6)
+_DEEP = ws.enumerate_strata(ws.validate(0, [1] * 6), 3)[-1].tree
+
+
+@pytest.mark.parametrize("call", [
+    *[pytest.param(lambda c=c: ws.enumerate_strata(ws.validate(0, [1] * 6),
+                                                   c), id=f"strata-unit-{c}")
+      for c in range(4)],
+    *[pytest.param(lambda c=c: ws.enumerate_strata(_SEEDED, c),
+                   id=f"strata-seeded-{c}") for c in range(4)],
+    pytest.param(lambda: ws.canonical_key(_DEEP), id="canonical_key"),
+    pytest.param(lambda: ws.canonical_form(_DEEP), id="canonical_form"),
+    pytest.param(lambda: ws.enumerate_chambers(0, 4, ws.Granularity.FINE),
+                 id="chambers-0-4"),
+    pytest.param(lambda: ws.enumerate_chambers(1, 4, ws.Granularity.FINE),
+                 id="chambers-1-4"),
+    pytest.param(lambda: ws.stabilize(_DEEP, ws.validate(0, [1] * 6),
+                                      ws.validate(0, [F(1, 2)] * 4 + [1] * 2)),
+                 id="stabilize"),
+    pytest.param(lambda: ws.forget(_DEEP, ws.validate(0, [1] * 6),
+                                   [1, 2, 3, 4, 5]), id="forget"),
+])
+def test_no_cyclic_garbage(monkeypatch, call):
+    """Stratum generation, canonical keys and forms, the chamber search and
+    contraction free everything by reference counting."""
+    monkeypatch.delenv("WEIGHTSCAPE_CACHE", raising=False)
+    assert _garbage_after(call) == 0
