@@ -474,6 +474,14 @@ class Stratum:
     codimension: int
 
 
+def _vertex_keys(partitions, hanging: int, den: int) -> list:
+    """The key of each stable vertex among forest partitions; hanging is 1
+    below an edge and 0 at the root."""
+    return [(0, classes, tuple(sorted(kids)))
+            for classes, kids, w in partitions
+            if _log_degree(0, len(kids) + hanging, w, den) > 0]
+
+
 def _stratum_keys(data: WeightData, max_codim: int):
     """(codimension, canonical key) of every stable genus-0 tree of the
     valid datum up to codimension `max_codim`, each exactly once, in sorted
@@ -488,36 +496,40 @@ def _stratum_keys(data: WeightData, max_codim: int):
     Blocks are bitmasks (marking m is bit m-1): `weight` gives each mask's
     numerator sum over `den`, read off `WeightData.excess_table`, and
     `marks` its sorted markings, filled once by doubling over the
-    markings.  There is one forest memo per (rest, lead) and one subtree
-    memo per block, each a list of layers by exact cost, extended only as
-    far as some caller's room reaches.  So no partition is enumerated
-    twice, whatever the budget left above it, and a small `max_codim`
-    builds only the small layers.  The nested builders are deleted on
-    return, which breaks the cycle that each recursive closure forms with
-    its cell: the memos are then freed by reference counting, and the call
-    leaves no cyclic garbage.
+    markings.  There is one memo entry per (rest, lead), a list of layers
+    by exact cost, extended only as far as some caller's room reaches.  So
+    no partition is enumerated twice, whatever the budget left above it,
+    and a small `max_codim` builds only the small layers.  No genus-0
+    stratum has codimension above n - 3, so the cap is clamped there.  The
+    nested builders are deleted on return, which breaks the cycle that
+    each recursive closure forms with its cell: the memo is then freed by
+    reference counting, and the call leaves no cyclic garbage.
     """
     den = data.scaled[1]
     weight = [e + den for e in data.excess_table()]
     marks = [()]
     for m in range(1, data.n + 1):
         marks += [s + (m,) for s in marks]
-    forest_memo: dict = {}
-    subtree_memo: dict = {}
+    memo: dict = {}
 
     def forests(rest, lead, cost):
         """(classes, child keys, class weight) per partition of rest of
         exactly `cost`.  Its first block, which holds the lowest bit of
         rest, is a class when lead is 0, a class or a subtree short of all
-        of rest when lead is 1, and either when lead is 2."""
-        layers = forest_memo.get((rest, lead))
+        of rest when lead is 1, and either when lead is 2.  Lead 3 gives
+        instead the key of each stable vertex on rest below an edge, whose
+        cost counts the edge."""
+        layers = memo.get((rest, lead))
         if layers is None:
-            layers = forest_memo[rest, lead] = []
+            layers = memo[rest, lead] = []
         while len(layers) <= cost:
             layers.append(layer(rest, lead, len(layers)))
         return layers[cost]
 
     def layer(rest, lead, cost):
+        if lead == 3:  # an edge costs 1
+            return _vertex_keys(forests(rest, 1, cost - 1), 1, den) \
+                if cost else []
         if not rest:  # the one partition of nothing costs 0
             return [] if cost else [((), (), 0)]
         low = rest & -rest
@@ -533,7 +545,7 @@ def _stratum_keys(data: WeightData, max_codim: int):
                     found.append((first + classes, kids, w + x))
             if lead == 2 or lead == 1 and left:
                 for k in range(1, cost + 1):
-                    keys = subtrees(block, k)
+                    keys = forests(block, 3, k)
                     if keys:
                         more = forests(left, 2, cost - k)
                         for key in keys:
@@ -544,28 +556,13 @@ def _stratum_keys(data: WeightData, max_codim: int):
             sub = (sub - 1) & others
         return found
 
-    def vertices(block, hanging, cost):
-        """The key of each stable vertex on block of exactly `cost`;
-        hanging is 1 below an edge, which the cost then counts, and 0 at
-        the root."""
-        return [(0, classes, tuple(sorted(kids)))
-                for classes, kids, w in forests(block, hanging, cost - hanging)
-                if _log_degree(0, len(kids) + hanging, w, den) > 0]
-
-    def subtrees(block, cost):
-        layers = subtree_memo.get(block)
-        if layers is None:
-            layers = subtree_memo[block] = [[]]  # an edge costs 1
-        while len(layers) <= cost:
-            layers.append(vertices(block, 1, len(layers)))
-        return layers[cost]
-
     try:
-        full = len(weight) - 1
-        return [(codim, key) for codim in range(max_codim + 1)
-                for key in sorted(vertices(full, 0, codim))]
+        full, top = len(weight) - 1, min(max_codim, data.n - 3)
+        return [(codim, key) for codim in range(top + 1)
+                for key in sorted(_vertex_keys(forests(full, 0, codim), 0,
+                                               den))]
     finally:
-        del forests, layer, vertices, subtrees
+        del forests, layer
 
 
 def enumerate_strata(data: WeightData, max_codim: int, *,

@@ -445,12 +445,10 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
                 descend(index + 1, extended)
                 signs.pop()
 
-    try:  # the domain is never empty
-        descend(0, _extend(_stages(range(n)), rows))
+    try:
+        descend(0, _extend(_stages(range(n)), rows))  # the domain is nonempty
     finally:
-        # a recursive closure and its cell form a cycle; emptying the cell
-        # lets reference counting free the search state on return
-        del descend
+        del descend  # the closure's cell holds it: break the cycle
     result = tuple(chambers)
 
     if cache_dir:

@@ -200,6 +200,24 @@ def test_interleaved_stratum_key_calls_share_nothing():
             assert _stratum_keys(d, c) == expected[i, c]
 
 
+def test_cap_above_n_minus_3_does_no_more_work(monkeypatch):
+    """No genus-0 stratum is deeper than n - 3, so a larger cap gives the
+    same keys from the same memo layers, however large it is."""
+    data = ws.validate(0, [1] * 5)
+    calls = []
+    vertex_keys = curves._vertex_keys
+    monkeypatch.setattr(curves, "_vertex_keys",
+                        lambda *args: calls.append(args[1:])
+                        or vertex_keys(*args))
+    at_top = _stratum_keys(data, 2)
+    made = len(calls)
+    assert _stratum_keys(data, 50) == at_top
+    assert len(calls) == 2 * made
+    monkeypatch.undo()
+    data = ws.validate(0, [1] * 7)
+    assert _stratum_keys(data, 10 ** 6) == _stratum_keys(data, 4)
+
+
 def test_boundary_weights_reach_both_bounds():
     """With weights 1/2 every pair is a class of sum exactly 1 and a leaf of
     log degree exactly 0: classes of two appear, leaves of two do not."""
