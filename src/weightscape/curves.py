@@ -220,9 +220,7 @@ def canonical_key(tree: MarkedTree):
 
 
 def _rooted_key(vid, parent, by_id, adj):
-    """The key of the subtree at `vid` away from `parent`.  A module-level
-    helper with explicit arguments, not a nested closure: a recursive
-    closure is a function-cell cycle, which only the collector frees."""
+    """The key of the subtree at `vid` away from `parent`."""
     v = by_id[vid]
     return (v.genus,
             tuple(sorted((tuple(sorted(c.markings)), c.node_supported)
@@ -249,8 +247,7 @@ def _tree_of_key(key, shared: dict) -> MarkedTree:
 
 def _build(node, shared: dict, vertices: list, edges: list) -> int:
     """Append the vertex of `node`, whose id is its place in preorder, then
-    its subtrees, each below an edge (id, child id); return the id.  Every
-    list is an argument, so no call leaves a cycle behind."""
+    its subtrees, each below an edge (id, child id); return the id."""
     nid = len(vertices) + 1
     genus, classes, kids = node
     for c in classes:
@@ -500,69 +497,65 @@ def _stratum_keys(data: WeightData, max_codim: int):
     by exact cost, extended only as far as some caller's room reaches.  So
     no partition is enumerated twice, whatever the budget left above it,
     and a small `max_codim` builds only the small layers.  No genus-0
-    stratum has codimension above n - 3, so the cap is clamped there.  The
-    nested builders are deleted on return, which breaks the cycle that
-    each recursive closure forms with its cell: the memo is then freed by
-    reference counting, and the call leaves no cyclic garbage.
+    stratum has codimension above n - 3, so the cap is clamped there.
     """
     den = data.scaled[1]
     weight = [e + den for e in data.excess_table()]
     marks = [()]
     for m in range(1, data.n + 1):
         marks += [s + (m,) for s in marks]
-    memo: dict = {}
+    state = ({}, weight, marks, den)
+    full, top = len(weight) - 1, min(max_codim, data.n - 3)
+    return [(codim, key) for codim in range(top + 1)
+            for key in sorted(_vertex_keys(_forests(state, full, 0, codim), 0,
+                                           den))]
 
-    def forests(rest, lead, cost):
-        """(classes, child keys, class weight) per partition of rest of
-        exactly `cost`.  Its first block, which holds the lowest bit of
-        rest, is a class when lead is 0, a class or a subtree short of all
-        of rest when lead is 1, and either when lead is 2.  Lead 3 gives
-        instead the key of each stable vertex on rest below an edge, whose
-        cost counts the edge."""
-        layers = memo.get((rest, lead))
-        if layers is None:
-            layers = memo[rest, lead] = []
-        while len(layers) <= cost:
-            layers.append(layer(rest, lead, len(layers)))
-        return layers[cost]
 
-    def layer(rest, lead, cost):
-        if lead == 3:  # an edge costs 1
-            return _vertex_keys(forests(rest, 1, cost - 1), 1, den) \
-                if cost else []
-        if not rest:  # the one partition of nothing costs 0
-            return [] if cost else [((), (), 0)]
-        low = rest & -rest
-        others = rest ^ low
-        found = []
-        sub = others
-        while True:
-            block, left = low | sub, others ^ sub
-            size = len(marks[block]) - 1
-            if size <= cost and weight[block] <= den:
-                first, w = ((marks[block], False),), weight[block]
-                for classes, kids, x in forests(left, 2, cost - size):
-                    found.append((first + classes, kids, w + x))
-            if lead == 2 or lead == 1 and left:
-                for k in range(1, cost + 1):
-                    keys = forests(block, 3, k)
-                    if keys:
-                        more = forests(left, 2, cost - k)
-                        for key in keys:
-                            for classes, kids, x in more:
-                                found.append((classes, (key,) + kids, x))
-            if not sub:
-                break
-            sub = (sub - 1) & others
-        return found
+def _forests(state, rest, lead, cost):
+    """(classes, child keys, class weight) per partition of rest of exactly
+    `cost`, for the `_stratum_keys` call whose (memo, weight, marks, den) is
+    `state`.  Its first block, which holds the lowest bit of rest, is a
+    class when lead is 0, a class or a subtree short of all of rest when
+    lead is 1, and either when lead is 2.  Lead 3 gives instead the key of
+    each stable vertex on rest below an edge, whose cost counts the edge."""
+    layers = state[0].get((rest, lead))
+    if layers is None:
+        layers = state[0][rest, lead] = []
+    while len(layers) <= cost:
+        layers.append(_layer(state, rest, lead, len(layers)))
+    return layers[cost]
 
-    try:
-        full, top = len(weight) - 1, min(max_codim, data.n - 3)
-        return [(codim, key) for codim in range(top + 1)
-                for key in sorted(_vertex_keys(forests(full, 0, codim), 0,
-                                               den))]
-    finally:
-        del forests, layer
+
+def _layer(state, rest, lead, cost):
+    _, weight, marks, den = state
+    if lead == 3:  # an edge costs 1
+        return _vertex_keys(_forests(state, rest, 1, cost - 1), 1, den) \
+            if cost else []
+    if not rest:  # the one partition of nothing costs 0
+        return [] if cost else [((), (), 0)]
+    low = rest & -rest
+    others = rest ^ low
+    found = []
+    sub = others
+    while True:
+        block, left = low | sub, others ^ sub
+        size = len(marks[block]) - 1
+        if size <= cost and weight[block] <= den:
+            first, w = ((marks[block], False),), weight[block]
+            for classes, kids, x in _forests(state, left, 2, cost - size):
+                found.append((first + classes, kids, w + x))
+        if lead == 2 or lead == 1 and left:
+            for k in range(1, cost + 1):
+                keys = _forests(state, block, 3, k)
+                if keys:
+                    more = _forests(state, left, 2, cost - k)
+                    for key in keys:
+                        for classes, kids, x in more:
+                            found.append((classes, (key,) + kids, x))
+        if not sub:
+            break
+        sub = (sub - 1) & others
+    return found
 
 
 def enumerate_strata(data: WeightData, max_codim: int, *,

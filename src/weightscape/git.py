@@ -32,7 +32,9 @@ class Linearization:
     data: WeightData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "data", validate(0, self.t, Mode.BOUNDARY))
+        data = validate(0, self.t, Mode.BOUNDARY)
+        object.__setattr__(self, "t", data.weights)  # as Fractions, a tuple
+        object.__setattr__(self, "data", data)
 
     @classmethod
     def make(cls, values: Iterable) -> "Linearization":

@@ -129,6 +129,8 @@ def validate(genus, weights, mode: Mode = Mode.STRICT) -> WeightData:
     Raises WeightOutOfRange (with the offending index), DegreeNotPositive
     when 2g-2+sum <= 0, or BoundarySumMismatch in BOUNDARY mode.
     """
+    if not isinstance(mode, Mode):
+        raise DomainError(f"mode must be a Mode, got {mode!r}")
     if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
         raise DomainError(f"genus must be a nonnegative integer, got {genus!r}")
     ws = rationals(weights, "a")
@@ -237,15 +239,21 @@ def _wall_masks(genus: int, n: int, granularity: Granularity) -> tuple[int, ...]
     on S and 1 elsewhere lies in the domain, on the hyperplane, since
     |S| <= n-2 makes the total at least 3 > 2-2g.
     """
+    _check_wall_args(genus, n, granularity)
+    # 2 <= |S| <= n-2 when fine, 2 < |S| < n-2 (taken literally) when coarse
+    low, high = (2, n - 1) if granularity == Granularity.FINE else (3, n - 2)
+    return tuple(m for m in _masks(n) if low <= m.bit_count() < high)
+
+
+def _check_wall_args(genus, n, granularity) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
         raise DomainError(f"genus must be a nonnegative integer, got {genus!r}")
     if genus == 0 and n < 3:
         raise DomainError("genus 0 requires n >= 3")
-    # 2 <= |S| <= n-2 when fine, 2 < |S| < n-2 (taken literally) when coarse
-    low, high = (2, n - 1) if granularity == Granularity.FINE else (3, n - 2)
-    return tuple(m for m in _masks(n) if low <= m.bit_count() < high)
+    if not isinstance(granularity, Granularity):
+        raise DomainError(f"granularity must be a Granularity, got {granularity!r}")
 
 
 def locate(data: WeightData, granularity: Granularity) -> SignVector:
@@ -375,6 +383,7 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     passes every check of `_cached_chambers`, and is recomputed and
     overwritten otherwise; cache hits are byte-identical to recomputation.
     """
+    _check_wall_args(genus, n, granularity)
     _check_limit(n, limit)
     cache_dir = cache_dir or os.environ.get(CACHE_ENV_VAR)
     if cache_dir:
@@ -405,50 +414,43 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
         if genus == 0 and index_of.get(full ^ mask, i) < i:
             pairs.append((index_of[full ^ mask], Position.BELOW))
         forcing.append(pairs)
-    # per wall, each side with its one-row extension: ABOVE is
-    # -sum_S a < -1, BELOW is sum_S a < 1
+    # per wall, each side with its one-row extension: BELOW is sum_S a < 1,
+    # ABOVE is -sum_S a < -1; BELOW comes first, so ABOVE is popped first
     sides = [[(position, [(tuple(side * (mask >> j & 1) for j in range(n)),
                            side, True)])
-              for position, side in ((Position.ABOVE, -1),
-                                     (Position.BELOW, 1))]
+              for position, side in ((Position.BELOW, 1),
+                                     (Position.ABOVE, -1))]
              for mask in masks]
     chambers: list[Chamber] = []
     signs: list[Position] = []
 
-    # Depth-first sign assignment.  `stages` holds the elimination of the
-    # domain rows and the rows of the signs so far: each side of a wall
-    # extends it by one row, and a side whose extension is infeasible is
-    # cut.  An implied sign adds no row, so the polyhedron stays the same.
+    # Depth-first sign assignment on a stack of (wall index, stages, sign of
+    # the previous wall).  `stages` holds the elimination of the domain rows
+    # and the rows of the signs so far: each side extends it by one row, and
+    # a side whose extension is infeasible is cut; an implied sign adds none.
     # A leaf back-substitutes once, which gives the point that elimination
     # from scratch would pick, since that depends on the polyhedron only.
-    def descend(index: int, stages):
+    stack = [(0, _extend(_stages(range(n)), rows), None)]  # domain nonempty
+    while stack:
+        index, stages, sign = stack.pop()
+        if index:  # cut the signs back to this entry's depth
+            signs[index - 1:] = [sign]
         if index == len(masks):
             vec = SignVector(genus, n, granularity, tuple(signs))
             nums, den = _scaled_point(stages, n)
-            inside = _in_domain(genus, nums, den)
             rep = WeightData(genus, tuple(Fraction(x, den) for x in nums))
-            if not inside:
+            if not _in_domain(genus, nums, den):
                 raise InternalInvariantError(
                     f"the point {rep.to_json_dict()} of the {granularity.value}"
                     f" chamber {vec.codes()} leaves the domain")
             chambers.append(Chamber(vec, rep))
-            return
-        if any(signs[j] == sign for j, sign in forcing[index]):
-            signs.append(Position.ABOVE)
-            descend(index + 1, stages)
-            signs.pop()
-            return
-        for position, added in sides[index]:
-            extended = _extend(stages, added)
-            if extended is not None:
-                signs.append(position)
-                descend(index + 1, extended)
-                signs.pop()
-
-    try:
-        descend(0, _extend(_stages(range(n)), rows))  # the domain is nonempty
-    finally:
-        del descend  # the closure's cell holds it: break the cycle
+        elif any(signs[j] == implied for j, implied in forcing[index]):
+            stack.append((index + 1, stages, Position.ABOVE))
+        else:
+            for position, added in sides[index]:
+                extended = _extend(stages, added)
+                if extended is not None:
+                    stack.append((index + 1, extended, position))
     result = tuple(chambers)
 
     if cache_dir:

@@ -35,6 +35,14 @@ class TestLinearization:
         with pytest.raises(DomainError, match="^t must be a list"):
             ws.Linearization.from_json_dict({"t": t})
 
+    @pytest.mark.parametrize("make", [tuple, list])
+    def test_direct_construction_matches_make(self, make):
+        raw = make(["6/39", "10/39", "14/39", "22/39", "26/39"])
+        direct, made = ws.Linearization(raw), ws.Linearization.make(raw)
+        assert direct.t == made.t == tuple(F(x) for x in raw)
+        assert direct == made and hash(direct) == hash(made)
+        assert ws.tau_fine_preimage(direct) == ws.tau_fine_preimage(made)
+
     def test_data_excess_matches_fraction_sums(self):
         t = lin(F(1, 2), F(1, 3), F(1, 2), F(2, 3))
         den = t.data.scaled[1]

@@ -2,9 +2,11 @@
 conftest, and stratum generation against the unpruned breadth-first
 search."""
 
+import ast
 import gc
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -395,3 +397,29 @@ def test_no_cyclic_garbage(monkeypatch, call):
     contraction free everything by reference counting."""
     monkeypatch.delenv("WEIGHTSCAPE_CACHE", raising=False)
     assert _garbage_after(call) == 0
+
+
+def test_no_nested_recursive_functions():
+    """No function nested in another loads its own name or the name of
+    another function nested in the same enclosing function, and no `del`
+    names one.  Such a closure holds a cell that refers back to it, a cycle
+    that only the collector frees, so a recursive helper is module-level
+    and takes its state as arguments."""
+    found = []
+    for path in sorted(Path(curves.__file__).parent.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nested = [f for f in ast.walk(outer) if f is not outer and
+                      isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            names = {f.name for f in nested}
+            for f in nested:
+                found += [(path.name, outer.name, f.name, node.id)
+                          for node in ast.walk(f)
+                          if isinstance(node, ast.Name) and node.id in names
+                          and isinstance(node.ctx, ast.Load)]
+            found += [(path.name, outer.name, "del", node.id)
+                      for node in ast.walk(outer)
+                      if isinstance(node, ast.Name) and node.id in names
+                      and isinstance(node.ctx, ast.Del)]
+    assert found == []

@@ -376,6 +376,58 @@ class TestEnumerateChambers:
         assert path.read_text() == chambers_json(0, 4, FINE, first)
 
 
+@pytest.mark.parametrize("bad", ["fine", "strict", None, Mode.STRICT])
+def test_granularity_must_be_a_member(bad):
+    a = ws.validate(0, [1] * 5)
+    b = ws.validate(0, [F(1, 2)] * 4 + [1])  # on the fine wall {1, 2}
+    for call in (lambda: ws.walls(0, 5, bad), lambda: ws.locate(a, bad),
+                 lambda: ws.same_chamber(a, b, bad),
+                 lambda: ws.enumerate_chambers(0, 4, bad)):
+        with pytest.raises(DomainError, match="granularity must be a "
+                                              "Granularity, got "):
+            call()
+
+
+@pytest.mark.parametrize("bad", ["fine", "strict", None, FINE])
+def test_mode_must_be_a_member(bad):
+    data = ws.validate(0, [1, 1, 1])
+    tree = ws.enumerate_strata(data, 0)[0].tree
+    calls = [lambda: ws.validate(0, [1, 1, 1], bad),
+             lambda: ws.is_stable(tree, data, bad)]
+    if bad is not None:  # None selects from_json_dict's default mode
+        calls.append(lambda: ws.WeightData.from_json_dict(
+            {"genus": 0, "weights": [1, 1, 1]}, bad))
+    for call in calls:
+        with pytest.raises(DomainError, match="mode must be a Mode, got "):
+            call()
+
+
+@pytest.mark.parametrize("genus, n, granularity", [
+    (0, "4", FINE), (0, 4.0, FINE), (0, True, FINE), ("0", 4, FINE),
+    (-1, 4, FINE), (0, 2, FINE), (0, 4, "fine"), (0, 4, None),
+    (0, 40, "fine"), ("0", 40, FINE), (0, [4], FINE), (0, 4, []),
+], ids=["n-str", "n-float", "n-bool", "genus-str", "genus-negative",
+        "genus0-n2", "granularity-str", "granularity-none",
+        "n40-granularity-str", "n40-genus-str", "n-list", "granularity-list"])
+def test_chamber_arguments_checked_before_limit_and_cache(
+        tmp_path, monkeypatch, genus, n, granularity):
+    monkeypatch.delenv("WEIGHTSCAPE_CACHE", raising=False)
+    with pytest.raises(DomainError):
+        ws.enumerate_chambers(genus, n, granularity, cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_limit_refuses_before_building_walls(monkeypatch):
+    from weightscape import weights
+
+    def refuse(*args):
+        raise AssertionError("the walls of an n above the limit were built")
+
+    monkeypatch.setattr(weights, "_wall_masks", refuse)
+    with pytest.raises(LimitExceeded):
+        ws.enumerate_chambers(0, 40, FINE)
+
+
 def test_deeply_nested_cache_recomputed(tmp_path):
     # json.loads gives up on this with a RecursionError: a stale entry too
     cold = ws.enumerate_chambers(0, 4, FINE)
