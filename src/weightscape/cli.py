@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import curves, git, jsonio, logcanon, named, weights
+from . import jsonio, weights
 from .errors import (DomainError, InternalInvariantError, LimitExceeded,
                      WeightscapeError)
 
@@ -212,16 +212,19 @@ def _dispatch(args) -> dict:
         data = _weight_arg(args.weights, weights.Mode.STRICT)
         return weights.universal_curve_weight(data).to_json_dict()
     if cmd == "stabilize":
+        from . import curves
         tree = curves.MarkedTree.from_json_dict(_read_payload(args.tree))
         a = _weight_arg(args.weights)
         b = _weight_arg(args.target)
         return curves.stabilize(tree, a, b).to_json_dict()
     if cmd == "forget":
+        from . import curves
         tree = curves.MarkedTree.from_json_dict(_read_payload(args.tree))
         a = _weight_arg(args.weights)
         keep = [_keep_entry(v) for v in args.keep.split(",") if v.strip()]
         return curves.forget(tree, a, keep).to_json_dict()
     if cmd == "strata":
+        from . import curves
         data = _weight_arg(args.weights, weights.Mode.STRICT)
         strata = curves.enumerate_strata(data, args.max_codim,
                                          limit=args.limit)
@@ -229,6 +232,7 @@ def _dispatch(args) -> dict:
                 "strata": [{"codimension": s.codimension,
                             "tree": s.tree.to_json_dict()} for s in strata]}
     if cmd == "boundary":
+        from . import curves
         data = _weight_arg(args.weights, weights.Mode.STRICT)
         divisors = curves.boundary_divisors(data)
         nodal = [d for d in divisors if d.kind == curves.DivisorKind.NODAL]
@@ -236,26 +240,31 @@ def _dispatch(args) -> dict:
         return {"nodal_count": len(nodal), "coincidence_count": len(pairs),
                 "divisors": [_divisor_dict(d) for d in divisors]}
     if cmd == "reduce":
+        from . import curves
         a = _weight_arg(args.weights, weights.Mode.STRICT)
         b = _weight_arg(args.target)
         fates = curves.contracted_divisors(a, b)
         return {"is_isomorphism": curves.is_reduction_iso(a, b),
                 "fates": [_fate_dict(f) for f in fates]}
     if cmd == "git-stability":
+        from . import git
         config = git.ConfigType.from_json_dict(_read_payload(args.config))
         lin = git.Linearization.from_json_dict(
             _read_payload(args.linearization))
         return {"verdict": git.stability(config, lin).value}
     if cmd == "git-sstypes":
+        from . import git
         lin = git.Linearization.from_json_dict(
             _read_payload(args.linearization))
         types = git.strictly_semistable_types(lin)
         return {"typical": git.is_typical(lin), "count": len(types),
                 "types": [sorted(s) for s in types]}
     if cmd == "tau":
+        from . import git
         data = _weight_arg(args.weights, weights.Mode.STRICT)
         return git.tau(data).to_json_dict()
     if cmd == "match-quotient":
+        from . import git
         data = _weight_arg(args.weights, weights.Mode.STRICT)
         lin = git.Linearization.from_json_dict(
             _read_payload(args.linearization))
@@ -266,24 +275,30 @@ def _dispatch(args) -> dict:
                 "ambiguous_subsets": [sorted(s)
                                       for s in match.ambiguous_subsets]}
     if cmd == "lc-kapranov":
+        from . import logcanon
         ledger = logcanon.kapranov_ledger(args.n, args.k, args.alpha)
         payload = ledger.to_json_dict()
         payload["ample_lc_range"] = \
             logcanon.kapranov_ample_lc_range(args.n).to_json_dict()
         return payload
     if cmd == "lc-keel":
+        from . import logcanon
         return logcanon.keel_ledger(args.n, args.alpha,
                                     args.beta).to_json_dict()
     if cmd == "remark76":
+        from . import logcanon
         return logcanon.remark76_check().to_json_dict()
     if cmd == "named-classify":
+        from . import named
         data = _weight_arg(args.weights, weights.Mode.STRICT)
         return {"families": [f.tag for f in named.classify(data)]}
     if cmd == "named-weights":
+        from . import named
         family = named.parse_tag(args.family, args.n)
         return {"family": family.tag,
                 **named.weights_for(family).to_json_dict()}
     if cmd == "blowup-seq":
+        from . import named
         steps = named.blowup_sequence(named.FamilyKind(args.family), args.n)
         return {"steps": [
             {"source": s.source.tag, "target": s.target.tag,

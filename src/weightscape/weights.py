@@ -205,12 +205,9 @@ class Chamber:
     representative: WeightData
 
 
-@lru_cache(maxsize=None, typed=True)  # walls(True, ...) is not walls(1, ...)
 def walls(genus: int, n: int, granularity: Granularity) -> tuple[Wall, ...]:
     """All subsets in the granularity's size range, sorted by size then
-    lexicographically: the walls of `_wall_masks`, as marking sets.
-    Memoized: the wall set of a (genus, n, granularity) triple never
-    changes."""
+    lexicographically: the walls of `_wall_masks`, as marking sets."""
     return tuple(Wall(_marks(m), granularity)
                  for m in _wall_masks(genus, n, granularity))
 
@@ -230,16 +227,22 @@ def _masks(n: int) -> tuple[int, ...]:
                  for s in combinations(range(n), size))
 
 
-@lru_cache(maxsize=None, typed=True)
 def _wall_masks(genus: int, n: int, granularity: Granularity) -> tuple[int, ...]:
     """The bitmask of every wall, in the order of `_masks` (marking m is
     bit m-1, as in `WeightData.excess_table`).
 
     Every subset S in the granularity's size range is a wall: weight 1/|S|
     on S and 1 elsewhere lies in the domain, on the hyperplane, since
-    |S| <= n-2 makes the total at least 3 > 2-2g.
+    |S| <= n-2 makes the total at least 3 > 2-2g.  The arguments are
+    checked before the memo, which cannot hash a list.
     """
     _check_wall_args(genus, n, granularity)
+    return _memo_wall_masks(genus, n, granularity)
+
+
+@lru_cache(maxsize=None, typed=True)  # (True, ...) is not (1, ...)
+def _memo_wall_masks(genus: int, n: int,
+                     granularity: Granularity) -> tuple[int, ...]:
     # 2 <= |S| <= n-2 when fine, 2 < |S| < n-2 (taken literally) when coarse
     low, high = (2, n - 1) if granularity == Granularity.FINE else (3, n - 2)
     return tuple(m for m in _masks(n) if low <= m.bit_count() < high)

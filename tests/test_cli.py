@@ -175,22 +175,70 @@ def test_non_utf8_payload_file_is_domain_error(tmp_path):
 
 
 def test_imports_only_the_standard_library():
-    # `dependencies = []`: importing the package and its CLI in a fresh
-    # process loads no top-level module outside the standard library.
+    # `dependencies = []`: importing every module of the package in a fresh
+    # process loads no top-level module outside the standard library.  The
+    # package loads its modules on first use, so each is imported by name.
     # Modules the interpreter loaded before the import (site hooks) are
     # the environment's, not the package's.
-    src = os.path.dirname(os.path.dirname(weightscape.__file__))
+    package = os.path.dirname(weightscape.__file__)
+    modules = sorted(f"weightscape.{name[:-3]}" for name in os.listdir(package)
+                     if name.endswith(".py") and name != "__init__.py")
+    assert {"weightscape.cli", "weightscape.curves"} <= set(modules)
     child = subprocess.run(
         [sys.executable, "-c",
-         "import sys; before = set(sys.modules)\n"
-         "import weightscape, weightscape.cli\n"
+         "import importlib, sys; before = set(sys.modules)\n"
+         "for name in sys.argv[1:]: importlib.import_module(name)\n"
          "print(*sorted({m.partition('.')[0] for m in sys.modules\n"
-         "               if m not in before}))"],
+         "               if m not in before}))", *modules],
         capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src})
+        env={**os.environ, "PYTHONPATH": os.path.dirname(package)})
     loaded = set(child.stdout.split())
     assert "weightscape" in loaded
     assert loaded - {"weightscape"} <= sys.stdlib_module_names
+
+
+LAZY = {"weightscape.curves", "weightscape.git", "weightscape.logcanon",
+        "weightscape.named"}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["walls", "--genus", "0", "--n", "5"], set()),
+    (["validate", "--weights", W4], set()),
+    (["locate", "--weights", W5], set()),
+    (["chambers", "--genus", "0", "--n", "4", "--cache-dir", "{cold}"], set()),
+    (["chambers", "--genus", "0", "--n", "4", "--cache-dir", "{warm}"], set()),
+    (["strata", "--weights", W5, "--max-codim", "2"], {"weightscape.curves"}),
+    (["boundary", "--weights", W4], {"weightscape.curves"}),
+    (["reduce", "--weights", W4, "--target", LM4], {"weightscape.curves"}),
+    (["stabilize", "--weights", W4, "--tree", TREE4, "--target", LM4],
+     {"weightscape.curves"}),
+    (["forget", "--weights", W4, "--tree", TREE4, "--keep", "1,2,3"],
+     {"weightscape.curves"}),
+], ids=["walls", "validate", "locate", "chambers-cold", "chambers-cache-hit",
+        "strata", "boundary", "reduce", "stabilize", "forget"])
+def test_subcommand_loads_only_the_modules_it_uses(tmp_path, argv, loads):
+    # a fresh process runs one subcommand, then lists the package modules
+    # it loaded: curves, git, logcanon and named only where the call uses
+    # them
+    cache = {"{cold}": str(tmp_path / "cold"), "{warm}": str(tmp_path / "warm")}
+    if "{warm}" in argv:  # the child's run is a cache hit
+        assert invoke(["chambers", "--genus", "0", "--n", "4",
+                       "--cache-dir", cache["{warm}"]])[0] == 0
+    argv = [cache.get(arg, arg) for arg in argv]
+    env = {key: value for key, value in os.environ.items()
+           if key != "WEIGHTSCAPE_CACHE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(weightscape.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import io, sys\n"
+         "from weightscape.cli import run\n"
+         "code = run(sys.argv[1:], out=io.StringIO())\n"
+         "print(code, *sorted(m for m in sys.modules\n"
+         "                    if m.startswith('weightscape.')))", *argv],
+        capture_output=True, text=True, check=True, env=env)
+    code, *loaded = child.stdout.split()
+    assert code == "0", child.stderr
+    assert set(loaded) & LAZY == loads
 
 
 def test_library_key_error_is_internal(monkeypatch):

@@ -376,7 +376,7 @@ class TestEnumerateChambers:
         assert path.read_text() == chambers_json(0, 4, FINE, first)
 
 
-@pytest.mark.parametrize("bad", ["fine", "strict", None, Mode.STRICT])
+@pytest.mark.parametrize("bad", ["fine", "strict", None, Mode.STRICT, []])
 def test_granularity_must_be_a_member(bad):
     a = ws.validate(0, [1] * 5)
     b = ws.validate(0, [F(1, 2)] * 4 + [1])  # on the fine wall {1, 2}
@@ -400,6 +400,13 @@ def test_mode_must_be_a_member(bad):
     for call in calls:
         with pytest.raises(DomainError, match="mode must be a Mode, got "):
             call()
+
+
+def test_unhashable_n_is_a_domain_error():
+    # the memo of the wall masks cannot hash a list: the check runs first
+    with pytest.raises(DomainError,
+                       match=r"n must be a positive integer, got \[5\]"):
+        ws.walls(0, [5], FINE)
 
 
 @pytest.mark.parametrize("genus, n, granularity", [
