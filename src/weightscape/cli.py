@@ -59,8 +59,7 @@ def _read_payload(raw: str) -> dict:
 
 
 def _weight_arg(raw: str, mode=weights.Mode.ZERO_ALLOWED) -> weights.WeightData:
-    payload = _read_payload(raw)
-    return weights.validate(payload["genus"], payload["weights"], mode)
+    return weights.WeightData.from_json_dict(_read_payload(raw), mode)
 
 
 def _keep_entry(text: str) -> int:

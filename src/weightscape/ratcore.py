@@ -6,31 +6,31 @@ appear.  Rationals serialize as "p/q" in lowest terms, or "p" when the
 denominator is 1 -- which is precisely `str(Fraction)`.
 
 The chamber search decides which sign patterns of the walls bound an
-open chamber by Fourier-Motzkin elimination on integer rows
-(coeffs, bound, strict), meaning coeffs . x < bound when strict and
-coeffs . x <= bound otherwise.  Coefficients and bound are integers
-throughout: every row a stage derives is a positive integer combination
-of earlier ones divided by a positive gcd, which keeps its solution set.
-Variables are eliminated in the given order, propagating a strictness
-flag (the sum of a strict and a non-strict bound is strict).  The
-elimination is kept as stages, one per variable: a stage maps the
-primitive direction of each row involving its variable to the tightest
-such row (parallel rows are pruned by dominance only).  `_extend` adds
-rows to stages: a row that tightens a stage meets that stage's
-opposite-sign rows, each pair once, and only those combinations and the
-rows free of the variable enter the next stage, so a search adding one
-row at a time pays for the new pairs only.
+open chamber by Fourier-Motzkin elimination on integer rows (coeffs,
+bound), meaning coeffs . x < bound.  That is the contract: every row is
+strict, and the first rows bound every variable on both sides (the
+search starts from the domain rows 0 < a_j < 1), so each interval of the
+back-substitution is open and two-sided.  Coefficients and bound are
+integers throughout: every row a stage derives is a positive integer
+combination of earlier ones divided by a positive gcd, which keeps its
+solution set.  The elimination is kept as stages, one per variable: a
+stage maps the primitive direction of each row involving its variable to
+the tightest such row (parallel rows are pruned by dominance only).
+`_extend` adds rows to stages: a row that tightens a stage meets that
+stage's opposite-sign rows, each pair once, and only those combinations
+and the rows free of the variable enter the next stage, so a search
+adding one row at a time pays for the new pairs only.
 
 Interior points are reconstructed deterministically by back-substitution
-through the stages (`_scaled_point`), taking the midpoint of each
-feasible interval.  It runs on integers too: the fixed values are
-numerators over one running denominator, and a stage's limits are
-compared by cross-multiplying; a caller that wants `Fraction`s builds
-one per coordinate, at the end.  Each interval is a fiber of a
-projection of the solution set, so a point depends on the solution set
-only: rows an incremental stage keeps beyond a from-scratch one
-(combinations of a row later displaced by a tighter parallel one) are
-implied and move no limit.
+through the stages (`_scaled_point`), taking the midpoint of each open
+interval.  It runs on integers too: the fixed values are numerators over
+one running denominator, and a stage's limits are compared by
+cross-multiplying; a caller that wants `Fraction`s builds one per
+coordinate, at the end.  Each interval is a fiber of a projection of the
+solution set, so a point depends on the solution set only: rows an
+incremental stage keeps beyond a from-scratch one (combinations of a row
+later displaced by a tighter parallel one) are implied and move no
+limit.
 """
 
 from __future__ import annotations
@@ -82,19 +82,19 @@ def rat_str(value: RationalLike) -> str:
 def _extend(stages, rows):
     """`stages` with `rows` added, or None when a variable-free row is
     violated; the given stages are left as they are.  A stage is (var,
-    kept), each row of kept stored as (coeffs, bound, strict, scale) with
-    coeffs == scale * its direction and divided by the gcd of its entries.
+    kept), each row of kept stored as (coeffs, bound, scale) with coeffs
+    == scale * its direction and divided by the gcd of its entries.
     """
     extended = []
     for var, kept in stages:
         fresh = {}
         down = []
         for row in rows:
-            coeffs, bound, strict = row
+            coeffs, bound = row
             if not coeffs[var]:
                 if any(coeffs):
                     down.append(row)
-                elif bound < 0 or (strict and bound == 0):
+                elif bound <= 0:
                     return None
                 continue
             scale = gcd(*coeffs)
@@ -105,13 +105,11 @@ def _extend(stages, rows):
                 scale //= common
             key = coeffs if scale == 1 else tuple([c // scale for c in coeffs])
             prev = kept.get(key)
-            if prev is not None:
-                mine, theirs = bound * prev[3], prev[1] * scale
-                if mine > theirs or (mine == theirs and (prev[2] or not strict)):
-                    continue
+            if prev is not None and bound * prev[2] >= prev[1] * scale:
+                continue
             if not fresh:  # the first change here copies the stage
                 kept = dict(kept)
-            kept[key] = fresh[key] = (coeffs, bound, strict, scale)
+            kept[key] = fresh[key] = (coeffs, bound, scale)
         if fresh:
             lowers = [r for r in kept.values() if r[0][var] < 0]
             uppers = [r for key, r in kept.items()
@@ -120,16 +118,16 @@ def _extend(stages, rows):
                 # a new upper meets every lower, a new lower the old uppers
                 pairs = ((row, low) for low in lowers) if row[0][var] > 0 \
                     else ((up, row) for up in uppers)
-                for (uc, ub, us, _), (lc, lb, ls, _) in pairs:
+                for (uc, ub, _), (lc, lb, _) in pairs:
                     mu, ml = -lc[var], uc[var]
                     down.append((tuple([mu * u + ml * lv
                                         for u, lv in zip(uc, lc)]),
-                                 mu * ub + ml * lb, us or ls))
+                                 mu * ub + ml * lb))
         extended.append((var, kept))
         rows = down
     # every stage variable is gone, so each remaining row is variable-free
-    for _, bound, strict in rows:
-        if bound < 0 or (strict and bound == 0):
+    for _, bound in rows:
+        if bound <= 0:
             return None
     return tuple(extended)
 
@@ -157,37 +155,30 @@ def _scaled_point(stages, dimension: int) -> tuple[list, int]:
 
 
 def _pick(var, rows, nums, den):
-    """Midpoint (p, q), the value p / q, of the interval the rows of x_var's
-    stage leave for it once the later variables are fixed at nums / den.
+    """Midpoint (p, q), the value p / q, of the open interval the rows of
+    x_var's stage leave for it once the later variables are fixed at
+    nums / den.
 
     A row bounds x_var by (bound * den - coeffs . nums) / (c_var * den).
-    Each side keeps its tightest limit as (a, c, strict), the value
-    a / (c * den) with c = |c_var| > 0, and limits are compared by
-    cross-multiplying; on equal limits the strict one is the tighter.
+    Each side keeps its tightest limit as (a, c), the value a / (c * den)
+    with c = |c_var| > 0, and limits are compared by cross-multiplying.
     """
     upper = lower = None
-    for coeffs, bound, strict, _ in rows:
+    for coeffs, bound, _ in rows:
         a, c = bound * den - sum(map(mul, coeffs, nums)), coeffs[var]
         prev = upper if c > 0 else lower
-        # on either side, gap > 0 exactly when a / c is tighter than prev
-        if prev is not None:
-            gap = prev[0] * c - a * prev[1]
-            if gap < 0 or (gap == 0 and not strict):
-                continue
+        # on either side, prev[0] * c > a * prev[1] exactly when a / c is
+        # tighter than prev
+        if prev is not None and prev[0] * c <= a * prev[1]:
+            continue
         if c > 0:
-            upper = (a, c, strict)
+            upper = (a, c)
         else:
-            lower = (-a, -c, strict)
-    if upper is None:
-        return (0, 1) if lower is None else \
-            (lower[0] + lower[1] * den, lower[1] * den)
-    u, cu, upper_strict = upper
-    if lower is None:
-        return u - cu * den, cu * den
-    low, cl, lower_strict = lower
-    gap = u * cl - low * cu
-    if gap > 0:
-        return low * cu + u * cl, 2 * cl * cu * den
-    if gap == 0 and not (upper_strict or lower_strict):
-        return low, cl * den
-    raise InternalInvariantError("empty interval during back-substitution")
+            lower = (-a, -c)
+    if upper is None or lower is None or \
+            upper[0] * lower[1] <= lower[0] * upper[1]:
+        raise InternalInvariantError(
+            f"empty interval or a missing limit for x_{var} during "
+            "back-substitution")
+    (u, cu), (low, cl) = upper, lower
+    return low * cu + u * cl, 2 * cl * cu * den

@@ -82,7 +82,7 @@ class WeightData:
     @classmethod
     def from_json_dict(cls, payload: dict, mode: "Mode" = None) -> "WeightData":
         return validate(payload["genus"], payload["weights"],
-                        mode or Mode.ZERO_ALLOWED)
+                        Mode.ZERO_ALLOWED if mode is None else mode)
 
 
 def integer_scaled(weights: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
@@ -398,12 +398,12 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
             # unreadable or stale cache entry: recompute and overwrite
 
     masks = _wall_masks(genus, n, granularity)
-    # integer solver rows (coeffs, bound, strict) for the domain 0 < a_j <= 1
-    # and sum(a) > 2-2g
-    rows = [(tuple(-(i == j) for i in range(n)), 0, True) for j in range(n)]
-    rows += [(tuple(int(i == j) for i in range(n)), 1, False)
-             for j in range(n)]
-    rows.append(((-1,) * n, 2 * genus - 2, True))
+    # integer solver rows (coeffs, bound), each coeffs . a < bound, for the
+    # domain 0 < a_j < 1 and sum(a) > 2-2g; a_j < 1 stands for a_j <= 1,
+    # since every other row is strict and a_j = 1 bounds no open chamber
+    rows = [(tuple(-(i == j) for i in range(n)), 0) for j in range(n)]
+    rows += [(tuple(int(i == j) for i in range(n)), 1) for j in range(n)]
+    rows.append(((-1,) * n, 2 * genus - 2))
     # Walls whose ABOVE sign follows from signs decided before them: a
     # subset one smaller (all weights are positive), and in genus 0 the
     # complement (the total exceeds 2).  Walls come by size, so both are
@@ -420,7 +420,7 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     # per wall, each side with its one-row extension: BELOW is sum_S a < 1,
     # ABOVE is -sum_S a < -1; BELOW comes first, so ABOVE is popped first
     sides = [[(position, [(tuple(side * (mask >> j & 1) for j in range(n)),
-                           side, True)])
+                           side)])
               for position, side in ((Position.BELOW, 1),
                                      (Position.ABOVE, -1))]
              for mask in masks]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -342,6 +343,19 @@ def test_limit_flag_override():
     code, _, _ = invoke(["strata", "--weights", W4, "--max-codim", "0",
                          "--limit", "3"])
     assert code == 2  # n = 4 with limit 3 refuses
+
+
+@pytest.mark.parametrize("n, granularity, sizes", [
+    (5, "fine", (2, 3)), (6, "coarse", (3,)), (5, "coarse", ())])
+def test_walls(n, granularity, sizes):
+    # fine walls have 2 <= |S| <= n-2, coarse ones 2 < |S| < n-2, each
+    # size in lexicographic order
+    subsets = [list(s) for size in sizes
+               for s in combinations(range(1, n + 1), size)]
+    payload = invoke_json(["walls", "--genus", "0", "--n", str(n),
+                           "--granularity", granularity])
+    assert payload == {"genus": 0, "n": n, "granularity": granularity,
+                       "count": len(subsets), "walls": subsets}
 
 
 def test_locate():

@@ -218,6 +218,7 @@ class TestEnumerateStrata:
         data = random_weight_data(rng, 5)
         strata = ws.enumerate_strata(data, 2)
         assert all(ws.is_stable(s.tree, data) for s in strata)
+        assert all(s.tree.codimension == s.codimension for s in strata)
         assert strata == ws.enumerate_strata(data, 2)
 
 

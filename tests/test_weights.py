@@ -388,7 +388,7 @@ def test_granularity_must_be_a_member(bad):
             call()
 
 
-@pytest.mark.parametrize("bad", ["fine", "strict", None, FINE])
+@pytest.mark.parametrize("bad", ["fine", "strict", None, FINE, "", False])
 def test_mode_must_be_a_member(bad):
     data = ws.validate(0, [1, 1, 1])
     tree = ws.enumerate_strata(data, 0)[0].tree
