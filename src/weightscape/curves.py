@@ -47,6 +47,10 @@ class MarkClass:
     markings: frozenset[int]
     node_supported: bool = False
 
+    def __post_init__(self):
+        if not self.markings:
+            raise DomainError("coincidence classes must be nonempty")
+
     def sort_key(self):
         return min(self.markings)
 
@@ -60,8 +64,13 @@ class Vertex:
 
 @dataclass(frozen=True)
 class MarkedTree:
+    """A connected dual graph, well-formed by construction: `_check_tree`
+    runs on every new MarkedTree.  `marked_tree` also sorts one."""
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        _check_tree(self)
 
     def vertex(self, vid: int) -> Vertex:
         for v in self.vertices:
@@ -133,7 +142,7 @@ def mark_class(markings: Iterable[int], node_supported: bool = False) -> MarkCla
 
 
 def marked_tree(vertices, edges=()) -> MarkedTree:
-    """Build and validate a MarkedTree in canonical order.
+    """Build a MarkedTree in canonical order.
 
     `vertices` holds (id, genus, classes) triples where each class is a
     MarkClass or an iterable of marking indices; `edges` holds unordered
@@ -142,13 +151,8 @@ def marked_tree(vertices, edges=()) -> MarkedTree:
     """
     built = []
     for vid, genus, classes in vertices:
-        normalized = []
-        for c in classes:
-            if not isinstance(c, MarkClass):
-                c = mark_class(c)
-            if not c.markings:
-                raise DomainError("coincidence classes must be nonempty")
-            normalized.append(c)
+        normalized = [c if isinstance(c, MarkClass) else mark_class(c)
+                      for c in classes]
         normalized.sort(key=MarkClass.sort_key)
         built.append(Vertex(_integer(vid, "vertex id"),
                             _integer(genus, "genus"), tuple(normalized)))
@@ -156,15 +160,14 @@ def marked_tree(vertices, edges=()) -> MarkedTree:
     norm_edges = tuple(sorted(tuple(sorted((_integer(a, "edge end"),
                                             _integer(b, "edge end"))))
                               for a, b in edges))
-    tree = MarkedTree(tuple(built), norm_edges)
-    _check_tree(tree)
-    return tree
+    return MarkedTree(tuple(built), norm_edges)
 
 
-def _check_tree(tree: MarkedTree):
-    """One pass over the edges and one over the vertices.  In the order in
-    which a failure is reported: some vertex, unique ids, edge ends in the
-    tree, nonnegative genera, disjoint classes, connectivity."""
+def _check_tree(tree: MarkedTree) -> dict[int, list[int]]:
+    """The check every MarkedTree passes on construction; returns the
+    adjacency.  One pass over the edges and one over the vertices.  In the
+    order in which a failure is reported: some vertex, unique ids, edge
+    ends in the tree, integer genera >= 0, disjoint classes, connected."""
     vertices = tree.vertices
     if not vertices:
         raise DomainError("a tree needs at least one vertex")
@@ -179,6 +182,8 @@ def _check_tree(tree: MarkedTree):
     seen: set[int] = set()
     marked = 0
     for v in vertices:
+        if type(v.genus) is not int:  # the call costs more than the test
+            _integer(v.genus, "genus")
         if v.genus < 0:
             raise DomainError("vertex genus must be nonnegative")
         for c in v.classes:
@@ -195,6 +200,7 @@ def _check_tree(tree: MarkedTree):
                 stack.append(u)
     if len(reached) != len(adjacency):
         raise DomainError("the dual graph must be connected")
+    return adjacency
 
 
 def canonical_key(tree: MarkedTree):
@@ -204,19 +210,15 @@ def canonical_key(tree: MarkedTree):
     Marked trees with labeled markings have no nontrivial automorphisms,
     so this is a complete isomorphism invariant.
     """
-    if tree.betti != 0 or any(a == b for a, b in tree.edges):
+    if tree.betti != 0:  # a connected graph with betti 0 is a tree
         raise DomainError("canonical keys and forms are defined for trees only")
     lowest = min(tree.markings, default=None)
     if lowest is None:
         raise DomainError("canonical rooting needs at least one marking")
-    by_id = {v.id: v for v in tree.vertices}
-    adj: dict[int, list[int]] = {vid: [] for vid in by_id}
-    for a, b in tree.edges:
-        adj[a].append(b)
-        adj[b].append(a)
     return _rooted_key(next(v.id for v in tree.vertices
                             if any(lowest in c.markings for c in v.classes)),
-                       None, by_id, adj)
+                       None, {v.id: v for v in tree.vertices},
+                       _check_tree(tree))
 
 
 def _rooted_key(vid, parent, by_id, adj):
@@ -236,13 +238,12 @@ def _tree_of_key(key, shared: dict) -> MarkedTree:
 
     A key is in canonical order already (classes by least marking), so the
     frozen tree is built as is; only the edges, each (parent, child), need
-    one sort.  `_check_tree` checks the result."""
+    one sort.  The MarkClass and MarkedTree constructors check the
+    result."""
     vertices, edges = [], []
     _build(key, shared, vertices, edges)
     edges.sort()
-    tree = MarkedTree(tuple(vertices), tuple(edges))
-    _check_tree(tree)
-    return tree
+    return MarkedTree(tuple(vertices), tuple(edges))
 
 
 def _build(node, shared: dict, vertices: list, edges: list) -> int:
@@ -252,11 +253,7 @@ def _build(node, shared: dict, vertices: list, edges: list) -> int:
     genus, classes, kids = node
     for c in classes:
         if c not in shared:
-            if not c[0]:
-                raise DomainError("coincidence classes must be nonempty")
             shared[c] = MarkClass(frozenset(c[0]), c[1])
-    if type(genus) is not int:  # a hand-built tree in canonical_form
-        _integer(genus, "genus")
     vertices.append(Vertex(nid, genus, tuple([shared[c] for c in classes])))
     for kid in kids:
         edges.append((nid, _build(kid, shared, vertices, edges)))
@@ -317,8 +314,8 @@ def is_stable(tree: MarkedTree, weights: WeightsLike,
     Stable means: every coincidence class has weight-sum <= 1, every
     node-supported class consists of weight-zero markings only, and every
     vertex has positive log degree.  It runs on the integer kernel; only
-    reported degrees are Fractions.  Trees built through `marked_tree` are
-    already structurally validated.
+    reported degrees are Fractions.  The tree is well-formed, as every
+    MarkedTree is checked on construction.
     """
     if isinstance(weights, WeightData):
         validate(weights.genus, weights.weights, mode)

@@ -13,17 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import DomainError
 from .ratcore import rat_str, rational
 from .weights import _integer
 
 _NEG_ONE = Fraction(-1)
-
-
-def _binom2(m: int) -> int:
-    # empty center sets at tower tails: C(m, 2) = 0 for m < 2
-    return m * (m - 1) // 2 if m >= 2 else 0
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ def kapranov_ledger(n: int, k: int, alpha) -> DiscrepancyLedger:
     steps = []
     for r in range(1, k + 1):
         coeff = Fraction(n - 3 - r)
-        mult = Fraction(_binom2(n - 1 - r))
+        mult = Fraction(comb(n - 1 - r, 2))
         steps.append(LedgerStep(r, "point", coeff, (("boundary", mult),),
                                 coeff - alpha * mult))
     return DiscrepancyLedger(n, (("alpha", alpha),), tuple(steps))
@@ -148,13 +144,13 @@ def keel_ledger(n: int, alpha, beta) -> KeelLedgerResult:
     for r in range(1, n - 3):
         coeff = Fraction(n - 3 - r)
         fmult = Fraction(n - 2 - r)
-        dmult = Fraction(_binom2(n - 2 - r))
+        dmult = Fraction(comb(n - 2 - r, 2))
         steps.append(LedgerStep(
             r, "point", coeff, (("fiber", fmult), ("diagonal", dmult)),
             coeff - alpha * fmult - beta * dmult))
     for r in range(1, n - 4):
         coeff = Fraction(n - 4 - r)
-        dmult = Fraction(_binom2(n - 2 - r))
+        dmult = Fraction(comb(n - 2 - r, 2))
         steps.append(LedgerStep(
             n - 4 + r, "diagonal", coeff, (("fiber", Fraction(0)),
                                            ("diagonal", dmult)),

@@ -237,12 +237,11 @@ def _wall_masks(genus: int, n: int, granularity: Granularity) -> tuple[int, ...]
     checked before the memo, which cannot hash a list.
     """
     _check_wall_args(genus, n, granularity)
-    return _memo_wall_masks(genus, n, granularity)
+    return _memo_wall_masks(n, granularity)
 
 
-@lru_cache(maxsize=None, typed=True)  # (True, ...) is not (1, ...)
-def _memo_wall_masks(genus: int, n: int,
-                     granularity: Granularity) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _memo_wall_masks(n: int, granularity: Granularity) -> tuple[int, ...]:
     # 2 <= |S| <= n-2 when fine, 2 < |S| < n-2 (taken literally) when coarse
     low, high = (2, n - 1) if granularity == Granularity.FINE else (3, n - 2)
     return tuple(m for m in _masks(n) if low <= m.bit_count() < high)

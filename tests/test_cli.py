@@ -1,15 +1,18 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import weightscape
-from weightscape.cli import run
+from weightscape.cli import _build_parser, run
 
 from conftest import CACHE_TAMPERS, tamper_chamber_cache
 
@@ -252,6 +255,21 @@ def test_library_key_error_is_internal(monkeypatch):
     code, out, err = invoke(["boundary", "--weights", W4])
     assert code == 3 and out == ""
     assert err.startswith("internal invariant breach")
+
+
+def test_no_subcommand_prints_usage():
+    code, out, err = invoke([])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: weightscape ")
+
+
+def test_readme_lists_every_subcommand():
+    # the README's "Subcommands:" paragraph, in the parser's order
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    paragraph = text.split("Subcommands:", 1)[1].split("\n\n", 1)[0]
+    action = next(a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    assert re.findall(r"`([^`]+)`", paragraph) == list(action.choices)
 
 
 def test_unknown_subcommand():

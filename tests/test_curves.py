@@ -696,6 +696,32 @@ def test_marked_tree_structural_errors(vertices, edges, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    ([(1, 0, [[1]]), (2, 0, [[2]]), (3, 0, [[3]])], [(1, 2), (2, 9)]),
+    ([(1, 0, [[1]]), (1, 0, [[2]])], []),
+    ([(1, 0, [[1]]), (2, 0, [[2]]), (3, 0, [[3]])], [(1, 2)]),
+    ([(1, -1, [[1]])], []),
+    ([(1, 1.0, [[1]])], []),
+    ([(1, 0, [[1]]), (2, True, [[2]])], [(1, 2)]),
+    ([(1, 0, [[1], []])], []),
+    ([(1, 0, [[1, 2], [2, 3]])], []),
+    ([(1, 0, [[1], [2]]), (2, 0, [[2], [3]])], [(1, 2)]),
+], ids=["missing-end", "duplicate-id", "disconnected", "negative-genus",
+        "float-genus", "bool-genus", "empty-class", "overlap-one-vertex",
+        "overlap-two-vertices"])
+def test_hand_built_tree_structural_errors(vertices, edges):
+    """MarkedTree and MarkClass check themselves: building one directly
+    raises the DomainError that `marked_tree` gives for the same input."""
+    with pytest.raises(DomainError) as expected:
+        ws.marked_tree(vertices, edges)
+    with pytest.raises(DomainError) as info:
+        curves.MarkedTree(
+            tuple(curves.Vertex(vid, genus, tuple(
+                curves.MarkClass(frozenset(c)) for c in classes))
+                for vid, genus, classes in vertices), tuple(edges))
+    assert str(info.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("value", [0.1, True, "abc"])
 @pytest.mark.parametrize("call", [ws.is_stable,
                                   lambda tree, a: ws.vertex_log_degree(tree, 1,

@@ -231,6 +231,12 @@ def test_config_type_grammar(classes, message):
         ws.ConfigType.make(classes)
 
 
+def test_config_type_json_round_trip():
+    config = ws.ConfigType.make([[5, 3], [2], [1, 4]])
+    assert config.to_json_dict() == {"classes": [[1, 4], [2], [3, 5]]}
+    assert ws.ConfigType.from_json_dict(config.to_json_dict()) == config
+
+
 def random_linearization(rng, n, attempts=2000):
     for _ in range(attempts):
         dens = rng.randint(3, 9)

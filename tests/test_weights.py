@@ -409,6 +409,16 @@ def test_unhashable_n_is_a_domain_error():
         ws.walls(0, [5], FINE)
 
 
+def test_wall_memo_is_shared_across_genera():
+    # the wall set depends on n and the granularity only; a bool n is
+    # refused before the memo, which does not tell True from 1
+    from weightscape.weights import _wall_masks
+    assert _wall_masks(0, 6, FINE) is _wall_masks(2, 6, FINE)
+    assert _wall_masks(1, 1, COARSE) == ()
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        _wall_masks(1, True, COARSE)
+
+
 @pytest.mark.parametrize("genus, n, granularity", [
     (0, "4", FINE), (0, 4.0, FINE), (0, True, FINE), ("0", 4, FINE),
     (-1, 4, FINE), (0, 2, FINE), (0, 4, "fine"), (0, 4, None),
