@@ -317,6 +317,8 @@ def is_stable(tree: MarkedTree, weights: WeightsLike,
     reported degrees are Fractions.  The tree is well-formed, as every
     MarkedTree is checked on construction.
     """
+    if not isinstance(mode, Mode):
+        raise DomainError(f"mode must be a Mode, got {mode!r}")
     if isinstance(weights, WeightData):
         validate(weights.genus, weights.weights, mode)
         if tree.arithmetic_genus != weights.genus:
@@ -477,9 +479,8 @@ def _vertex_keys(partitions, hanging: int, den: int) -> list:
 
 
 def _stratum_keys(data: WeightData, max_codim: int):
-    """(codimension, canonical key) of every stable genus-0 tree of the
-    valid datum up to codimension `max_codim`, each exactly once, in sorted
-    order.
+    """(codimension, canonical key) of each stable genus-0 tree of the valid
+    datum up to codimension `max_codim`, once each, in sorted order.
 
     A vertex's contents are a set partition of its markings into classes
     (weight sum at most 1) and subtrees, each below one new edge.  The
@@ -487,15 +488,13 @@ def _stratum_keys(data: WeightData, max_codim: int):
     unordered collection is met once; the root holds marking 1 in a class.
     A class of size s costs s - 1 toward the codimension and an edge 1.
 
-    Blocks are bitmasks (marking m is bit m-1): `weight` gives each mask's
-    numerator sum over `den`, read off `WeightData.excess_table`, and
-    `marks` its sorted markings, filled once by doubling over the
-    markings.  There is one memo entry per (rest, lead), a list of layers
-    by exact cost, extended only as far as some caller's room reaches.  So
-    no partition is enumerated twice, whatever the budget left above it,
-    and a small `max_codim` builds only the small layers.  No genus-0
-    stratum has codimension above n - 3, so the cap is clamped there.
-    """
+    Blocks are bitmasks (marking m is bit m-1); `weight` holds each mask's
+    numerator sum over `den` and `marks` its sorted markings.  The memo
+    keeps a list of layers by exact cost per mask and role (see `_layer`),
+    extended only as far as some caller's room reaches, so no partition is
+    enumerated twice and a small `max_codim` builds only small layers; the
+    root layers, read once, stay out of it.  No genus-0 stratum lies deeper
+    than n - 3, so the cap is clamped there."""
     den = data.scaled[1]
     weight = [e + den for e in data.excess_table()]
     marks = [()]
@@ -504,28 +503,29 @@ def _stratum_keys(data: WeightData, max_codim: int):
     state = ({}, weight, marks, den)
     full, top = len(weight) - 1, min(max_codim, data.n - 3)
     return [(codim, key) for codim in range(top + 1)
-            for key in sorted(_vertex_keys(_forests(state, full, 0, codim), 0,
+            for key in sorted(_vertex_keys(_layer(state, full, 0, codim), 0,
                                            den))]
 
 
-def _forests(state, rest, lead, cost):
-    """(classes, child keys, class weight) per partition of rest of exactly
-    `cost`, for the `_stratum_keys` call whose (memo, weight, marks, den) is
-    `state`.  Its first block, which holds the lowest bit of rest, is a
-    class when lead is 0, a class or a subtree short of all of rest when
-    lead is 1, and either when lead is 2.  Lead 3 gives instead the key of
-    each stable vertex on rest below an edge, whose cost counts the edge."""
-    layers = state[0].get((rest, lead))
+def _forests(state, rest, role, cost):
+    """`_layer` of role 1 or 2, memoised per `_stratum_keys` call."""
+    layers = state[0].get((rest, role))
     if layers is None:
-        layers = state[0][rest, lead] = []
+        layers = state[0][rest, role] = []
     while len(layers) <= cost:
-        layers.append(_layer(state, rest, lead, len(layers)))
+        layers.append(_layer(state, rest, role, len(layers)))
     return layers[cost]
 
 
-def _layer(state, rest, lead, cost):
+def _layer(state, rest, role, cost):
+    """Layer `cost` of a role on rest: the partitions, as (classes, child
+    keys, class weight), whose first block is a class (role 0, the root) or
+    a class or subtree (role 1); or (role 2) the keys of the stable vertices
+    on rest below an edge, which costs 1.  Role 2 reads all of role 1: its
+    one subtree on all of rest reads role 2 at lower costs only, and makes
+    a vertex of log degree (0 - 2 + 2) * den + 0 = 0, which is dropped."""
     _, weight, marks, den = state
-    if lead == 3:  # an edge costs 1
+    if role == 2:
         return _vertex_keys(_forests(state, rest, 1, cost - 1), 1, den) \
             if cost else []
     if not rest:  # the one partition of nothing costs 0
@@ -539,13 +539,13 @@ def _layer(state, rest, lead, cost):
         size = len(marks[block]) - 1
         if size <= cost and weight[block] <= den:
             first, w = ((marks[block], False),), weight[block]
-            for classes, kids, x in _forests(state, left, 2, cost - size):
+            for classes, kids, x in _forests(state, left, 1, cost - size):
                 found.append((first + classes, kids, w + x))
-        if lead == 2 or lead == 1 and left:
+        if role == 1:
             for k in range(1, cost + 1):
-                keys = _forests(state, block, 3, k)
+                keys = _forests(state, block, 2, k)
                 if keys:
-                    more = _forests(state, left, 2, cost - k)
+                    more = _forests(state, left, 1, cost - k)
                     for key in keys:
                         for classes, kids, x in more:
                             found.append((classes, (key,) + kids, x))

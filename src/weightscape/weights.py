@@ -72,9 +72,9 @@ class WeightData:
 
     @cached_property
     def scaled(self) -> tuple[dict[int, int], int]:
-        """`integer_scaled` of the weights, computed once per datum; the
-        dict is shared by every caller, so it is read only."""
-        return integer_scaled(self.weight_map())
+        """`integer_scaled` of the weights, once per datum and read only; a
+        weight that is no exact rational raises DomainError, as in validate."""
+        return integer_scaled(dict(enumerate(rationals(self.weights, "a"), 1)))
 
     def to_json_dict(self) -> dict:
         return {"genus": self.genus, "weights": [rat_str(w) for w in self.weights]}

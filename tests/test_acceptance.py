@@ -137,8 +137,9 @@ def test_criterion_04_deligne_mumford_agreement():
                         if any(tuple(p[v] for v in assign) < assign
                                for p in autos):
                             continue
-                        # connected by construction: build the frozen tree
-                        # directly, skipping the factory revalidation
+                        # in canonical order already: build the frozen tree
+                        # directly, skipping only `marked_tree`'s sorting
+                        # (the constructor still runs the structural check)
                         vertices = tuple(
                             Vertex(i + 1, 0, tuple(
                                 MarkClass(frozenset((m + 1,)))

@@ -220,6 +220,34 @@ def test_cap_above_n_minus_3_does_no_more_work(monkeypatch):
     assert _stratum_keys(data, 10 ** 6) == _stratum_keys(data, 4)
 
 
+@pytest.mark.parametrize("weights", [[1] * 7, [1, 1] + [F(1, 5)] * 5])
+def test_stratum_memo_keeps_one_partition_role(monkeypatch, weights):
+    """Role 0 is the root's partitions, role 1 any other mask's and role 2
+    its subtree keys: the root layers never reach the memo, and no other
+    mask has its partitions built under two roles."""
+    data = ws.validate(0, weights)
+    full = (1 << data.n) - 1
+    built, reached = {}, set()
+    layer, forests = curves._layer, curves._forests
+
+    def spy_layer(state, rest, role, cost):
+        built.setdefault(rest, set()).add(role)
+        return layer(state, rest, role, cost)
+
+    def spy_forests(state, rest, role, cost):
+        reached.add(rest)
+        return forests(state, rest, role, cost)
+
+    monkeypatch.setattr(curves, "_layer", spy_layer)
+    monkeypatch.setattr(curves, "_forests", spy_forests)
+    keys = _stratum_keys(data, data.n - 3)
+    monkeypatch.undo()
+    assert keys == tuple_stratum_keys(*data.scaled, data.n - 3)
+    assert full not in reached
+    assert built.pop(full) == {0}
+    assert all(roles <= {1, 2} for roles in built.values())
+
+
 def test_boundary_weights_reach_both_bounds():
     """With weights 1/2 every pair is a class of sum exactly 1 and a leaf of
     log degree exactly 0: classes of two appear, leaves of two do not."""

@@ -148,6 +148,25 @@ def test_rational_strings_rejected(weights, message):
     assert type(info.value) is DomainError and str(info.value) == message
 
 
+# a WeightData built directly is not validated; its integer form parses the
+# weights as `validate` does, so a weight that is no exact rational is a
+# DomainError wherever that form is read, and an exact string is read as one
+@pytest.mark.parametrize("call", [
+    lambda d: d.excess([1, 2]), lambda d: d.excess_table(),
+    lambda d: ws.is_blowup_profile(d, [1, 2, 3])])
+@pytest.mark.parametrize("weights, message", [
+    ((F(1, 2), 0.5, F(1, 2), F(3, 4)), "a_2 = 0.5 is not an exact rational"),
+    ((F(1, 2), "1/0", F(1, 2), F(3, 4)),
+     "a_2 = '1/0' is not an exact rational"),
+    ((True, 1, 1, 1), "a_1 = True is not an exact rational")])
+def test_hand_built_inexact_weights_rejected(call, weights, message):
+    with pytest.raises(DomainError) as info:
+        call(ws.WeightData(0, weights))
+    assert type(info.value) is DomainError and str(info.value) == message
+    exact = ws.WeightData(0, ("1/2",) * 5)
+    assert call(exact) == call(ws.validate(0, ["1/2"] * 5))
+
+
 class TestWalls:
     def test_fine_n5_counts(self):
         found = ws.walls(0, 5, FINE)
@@ -393,7 +412,8 @@ def test_mode_must_be_a_member(bad):
     data = ws.validate(0, [1, 1, 1])
     tree = ws.enumerate_strata(data, 0)[0].tree
     calls = [lambda: ws.validate(0, [1, 1, 1], bad),
-             lambda: ws.is_stable(tree, data, bad)]
+             lambda: ws.is_stable(tree, data, bad),
+             lambda: ws.is_stable(tree, data.weight_map(), bad)]
     if bad is not None:  # None selects from_json_dict's default mode
         calls.append(lambda: ws.WeightData.from_json_dict(
             {"genus": 0, "weights": [1, 1, 1]}, bad))
