@@ -32,13 +32,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Payload(dict):
-    """A JSON object whose missing keys are input errors, not KeyErrors."""
-
-    def __missing__(self, key):
-        raise DomainError(f"the payload has no key {key!r}")
-
-
 def _read_payload(raw: str) -> dict:
     raw = raw.strip()
     try:
@@ -50,7 +43,7 @@ def _read_payload(raw: str) -> dict:
         else:
             with open(raw, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        payload = json.loads(text, object_hook=_Payload)
+        payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise DomainError(f"cannot parse JSON payload: {exc}")
     if not isinstance(payload, dict):

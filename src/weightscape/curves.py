@@ -36,8 +36,8 @@ from .errors import (DomainError, InternalInvariantError,
                      ResidualDegreeNotPositive, UnequalWeightsInBlock,
                      WeightsNotDominated)
 from .ratcore import rational
-from .weights import (Mode, WeightData, _check_limit, _integer, _listed,
-                      _marks, _masks, integer_scaled, validate)
+from .weights import (Mode, WeightData, _check_limit, _field, _integer,
+                      _listed, _marks, _masks, integer_scaled, validate)
 
 WeightsLike = Union[WeightData, Mapping[int, Fraction]]
 
@@ -123,16 +123,16 @@ class MarkedTree:
         be integers (not bools); `node_supported`, when given, must hold
         one bool per class."""
         vertices = []
-        for entry in _listed(payload["vertices"], "vertices", dict):
-            classes = _listed(entry["classes"], "classes", list)
+        for entry in _listed(_field(payload, "vertices"), "vertices", dict):
+            classes = _listed(_field(entry, "classes"), "classes", list)
             flags = _listed(entry.get("node_supported", [False] * len(classes)),
                             "node_supported", bool, len(classes))
-            vertices.append((entry["id"], entry["genus"],
+            vertices.append((_field(entry, "id"), _field(entry, "genus"),
                              [mark_class(members, flag)
                               for members, flag in zip(classes, flags)]))
         return marked_tree(vertices, [
             _listed(e, "an edge", int, 2)
-            for e in _listed(payload["edges"], "edges", list)])
+            for e in _listed(_field(payload, "edges"), "edges", list)])
 
 
 def mark_class(markings: Iterable[int], node_supported: bool = False) -> MarkClass:
@@ -233,8 +233,10 @@ def _rooted_key(vid, parent, by_id, adj):
 
 def _tree_of_key(key, shared: dict) -> MarkedTree:
     """The tree a canonical key describes: ids 1..k in preorder, children in
-    key order.  `shared` maps each class key to the one MarkClass that every
-    tree built with it reuses.
+    key order.  `shared` holds the parts that trees built with it reuse:
+    the MarkClass of a class key (a pair ending in a bool), the Vertex of
+    an (id, genus, class keys) triple and the edges tuple of each shape (a
+    tuple of pairs of ints), three kinds of key that never compare equal.
 
     A key is in canonical order already (classes by least marking), so the
     frozen tree is built as is; only the edges, each (parent, child), need
@@ -242,8 +244,8 @@ def _tree_of_key(key, shared: dict) -> MarkedTree:
     result."""
     vertices, edges = [], []
     _build(key, shared, vertices, edges)
-    edges.sort()
-    return MarkedTree(tuple(vertices), tuple(edges))
+    edges = tuple(sorted(edges))
+    return MarkedTree(tuple(vertices), shared.setdefault(edges, edges))
 
 
 def _build(node, shared: dict, vertices: list, edges: list) -> int:
@@ -251,10 +253,14 @@ def _build(node, shared: dict, vertices: list, edges: list) -> int:
     its subtrees, each below an edge (id, child id); return the id."""
     nid = len(vertices) + 1
     genus, classes, kids = node
-    for c in classes:
-        if c not in shared:
-            shared[c] = MarkClass(frozenset(c[0]), c[1])
-    vertices.append(Vertex(nid, genus, tuple([shared[c] for c in classes])))
+    vertex = shared.get((nid, genus, classes))  # int genera: True hashes as 1
+    if vertex is None:
+        for c in classes:
+            if c not in shared:
+                shared[c] = MarkClass(frozenset(c[0]), c[1])
+        vertex = shared[nid, genus, classes] = Vertex(
+            nid, genus, tuple([shared[c] for c in classes]))
+    vertices.append(vertex)
     for kid in kids:
         edges.append((nid, _build(kid, shared, vertices, edges)))
     return nid
@@ -285,11 +291,19 @@ def _log_degree(genus: int, valence: int, weight: int, den: int) -> int:
     return (2 * genus - 2 + valence) * den + weight
 
 
+def _check_markings(tree: MarkedTree, nums: Mapping[int, int]) -> None:
+    if tree.markings != frozenset(nums):
+        raise DomainError(
+            f"tree markings {sorted(tree.markings)} do not match the weight "
+            f"indices {sorted(nums)}")
+
+
 def vertex_log_degree(tree: MarkedTree, vertex_id: int,
                       weights: WeightsLike) -> Fraction:
     """Degree of the log divisor on one component:
     2g_v - 2 + valence (self-loops twice) + sum of marking weights there."""
     nums, den = _integer_weights(weights)
+    _check_markings(tree, nums)
     v = tree.vertex(vertex_id)
     weight = sum(nums[m] for c in v.classes for m in c.markings)
     return Fraction(_log_degree(v.genus, tree.valence(vertex_id), weight, den),
@@ -330,10 +344,7 @@ def is_stable(tree: MarkedTree, weights: WeightsLike,
 
 def _stability(tree: MarkedTree, nums: Mapping[int, int],
                den: int) -> StabilityReport:
-    if tree.markings != frozenset(nums):
-        raise DomainError(
-            f"tree markings {sorted(tree.markings)} do not match the weight "
-            f"indices {sorted(nums)}")
+    _check_markings(tree, nums)
     valence = _valences(tree.vertex_ids, tree.edges)
     class_bad, node_bad, degree_bad = [], [], []
     for v in tree.vertices:

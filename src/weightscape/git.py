@@ -18,8 +18,9 @@ from typing import Iterable
 from .errors import (AtypicalLinearization, DomainError, DomainViolation,
                      InternalInvariantError)
 from .ratcore import rat_str
-from .weights import (Granularity, Mode, Position, WeightData, _integer,
-                      _listed, _marks, _masks, _positions, rationals, validate)
+from .weights import (Granularity, Mode, Position, WeightData, _field,
+                      _integer, _listed, _marks, _masks, _positions, rationals,
+                      validate)
 
 _ONE = Fraction(1)
 _TWO = Fraction(2)
@@ -49,7 +50,7 @@ class Linearization:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Linearization":
-        return cls.make(payload["t"])
+        return cls.make(_field(payload, "t"))
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class ConfigType:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ConfigType":
-        return cls.make(payload["classes"])
+        return cls.make(_field(payload, "classes"))
 
 
 class GitVerdict(Enum):

@@ -81,7 +81,7 @@ class WeightData:
 
     @classmethod
     def from_json_dict(cls, payload: dict, mode: "Mode" = None) -> "WeightData":
-        return validate(payload["genus"], payload["weights"],
+        return validate(_field(payload, "genus"), _field(payload, "weights"),
                         Mode.ZERO_ALLOWED if mode is None else mode)
 
 
@@ -115,6 +115,14 @@ def _listed(value, name: str, kind: type,
         raise DomainError(f"{name} must be a list of {size}{kind.__name__}s, "
                           f"got {value!r}")
     return value
+
+
+def _field(payload: dict, key: str):
+    """payload[key]; a missing key is an input error, not a KeyError."""
+    try:
+        return payload[key]
+    except KeyError:
+        raise DomainError(f"the payload has no key {key!r}") from None
 
 
 def _integer(value, name: str) -> int:

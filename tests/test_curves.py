@@ -735,6 +735,21 @@ def test_weight_map_values_must_be_exact(call, value):
     assert str(info.value) == f"a_2 = {value!r} is not an exact rational"
 
 
+@pytest.mark.parametrize("weights", [{1: 1, 2: 1}, [1, 1, 1, 1]],
+                         ids=["marking-unweighted", "weight-unmarked"])
+def test_vertex_log_degree_refuses_mismatched_weights(weights):
+    """`vertex_log_degree` refuses weights whose indices are not the tree's
+    markings, with the error `is_stable` gives."""
+    tree = ws.marked_tree([(1, 0, [[1], [2], [3]])])
+    if isinstance(weights, list):
+        weights = ws.validate(0, weights)
+    message = r"tree markings \[1, 2, 3\] do not match the weight indices"
+    for call in (ws.is_stable, ws.vertex_log_degree):
+        args = (weights,) if call is ws.is_stable else (1, weights)
+        with pytest.raises(DomainError, match=message):
+            call(tree, *args)
+
+
 @st.composite
 def dominated_weight_pairs(draw):
     n = draw(st.integers(4, 6))

@@ -381,6 +381,19 @@ def test_every_stratum_tree_is_checked(monkeypatch, weights, max_codim):
     assert all(s.tree is tree for s, tree in zip(strata, checked))
 
 
+@pytest.mark.parametrize("weights", [[1] * 7, [1, 1] + [F(1, 5)] * 5],
+                         ids=["unit-7", "losev-manin-7"])
+def test_stratum_trees_share_their_parts(weights):
+    """One `enumerate_strata` call builds one Vertex per (id, genus,
+    classes) and one edges tuple per tree shape."""
+    trees = [s.tree for s in ws.enumerate_strata(ws.validate(0, weights), 4)]
+    vertices = [v for tree in trees for v in tree.vertices]
+    assert len({id(v) for v in vertices}) == \
+        len({(v.id, v.genus, v.classes) for v in vertices})
+    assert len({id(tree.edges) for tree in trees}) == \
+        len({tree.edges for tree in trees})
+
+
 def _garbage_after(call):
     """How many unreachable objects the collector finds after one warm
     call, with the collector paused so that none is freed before the

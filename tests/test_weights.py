@@ -620,6 +620,20 @@ def test_sn_equivariance_of_chambers(rng):
         assert mapped == vectors
 
 
+@pytest.mark.parametrize("parse, payload, key", [
+    (lambda p: ws.WeightData.from_json_dict(p), {"weights": [1, 1, 1]},
+     "genus"),
+    (ws.MarkedTree.from_json_dict,
+     {"vertices": [{"genus": 0, "classes": [[1]]}], "edges": []}, "id"),
+    (ws.Linearization.from_json_dict, {"s": ["1/2"] * 5}, "t"),
+    (ws.ConfigType.from_json_dict, {}, "classes"),
+], ids=["weight-data", "marked-tree", "linearization", "config-type"])
+def test_missing_payload_key_is_a_domain_error(parse, payload, key):
+    with pytest.raises(DomainError) as info:
+        parse(payload)
+    assert str(info.value) == f"the payload has no key {key!r}"
+
+
 def test_weight_json_round_trip():
     data = ws.validate(0, [F(2, 3), 1, F(1, 6), F(5, 6)])
     payload = data.to_json_dict()
