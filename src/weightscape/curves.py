@@ -28,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (DomainError, InternalInvariantError,
@@ -36,8 +38,9 @@ from .errors import (DomainError, InternalInvariantError,
                      ResidualDegreeNotPositive, UnequalWeightsInBlock,
                      WeightsNotDominated)
 from .ratcore import rational
-from .weights import (Mode, WeightData, _check_limit, _field, _integer,
-                      _listed, _marks, _masks, integer_scaled, validate)
+from .weights import (Mode, WeightData, _boundary_masks, _check_limit,
+                      _field, _integer, _listed, _marks, _masks,
+                      integer_scaled, validate)
 
 WeightsLike = Union[WeightData, Mapping[int, Fraction]]
 
@@ -291,6 +294,15 @@ def _log_degree(genus: int, valence: int, weight: int, den: int) -> int:
     return (2 * genus - 2 + valence) * den + weight
 
 
+def _check_genus(tree: MarkedTree, weights: WeightsLike) -> None:
+    """A WeightData's genus must be the tree's arithmetic genus."""
+    if isinstance(weights, WeightData) and \
+            tree.arithmetic_genus != weights.genus:
+        raise DomainError(
+            f"tree has arithmetic genus {tree.arithmetic_genus}, "
+            f"weight data has genus {weights.genus}")
+
+
 def _check_markings(tree: MarkedTree, nums: Mapping[int, int]) -> None:
     if tree.markings != frozenset(nums):
         raise DomainError(
@@ -302,6 +314,7 @@ def vertex_log_degree(tree: MarkedTree, vertex_id: int,
                       weights: WeightsLike) -> Fraction:
     """Degree of the log divisor on one component:
     2g_v - 2 + valence (self-loops twice) + sum of marking weights there."""
+    _check_genus(tree, weights)
     nums, den = _integer_weights(weights)
     _check_markings(tree, nums)
     v = tree.vertex(vertex_id)
@@ -335,10 +348,7 @@ def is_stable(tree: MarkedTree, weights: WeightsLike,
         raise DomainError(f"mode must be a Mode, got {mode!r}")
     if isinstance(weights, WeightData):
         validate(weights.genus, weights.weights, mode)
-        if tree.arithmetic_genus != weights.genus:
-            raise DomainError(
-                f"tree has arithmetic genus {tree.arithmetic_genus}, "
-                f"weight data has genus {weights.genus}")
+    _check_genus(tree, weights)
     return _stability(tree, *_integer_weights(weights))
 
 
@@ -599,25 +609,22 @@ class BoundaryDivisor:
 def boundary_divisors(data: WeightData) -> tuple[BoundaryDivisor, ...]:
     """Codimension-1 boundary: unordered partitions with both weight-sums
     above 1 (nodal) and pairs with weight-sum at most 1 (coincidence)."""
-    return tuple(divisor for divisor, _ in
-                 _boundary(validate(data.genus, data.weights, Mode.STRICT)))
+    return tuple([_preserved(*key).divisor for key in
+                  _boundary(validate(data.genus, data.weights, Mode.STRICT))])
 
 
-def _boundary(data: WeightData) -> list[tuple[BoundaryDivisor, int]]:
-    """(divisor, bitmask of its members) for valid data, in `sort_key`
-    order: the coincidence pairs, then the nodal sides (which hold marking
-    1 and are not everything) by size and lexicographically."""
+def _boundary(data: WeightData) -> list[tuple[int, int]]:
+    """The (mask, complement) of each boundary divisor of valid data, in
+    `sort_key` order: the coincidence pairs, with complement 0, then the
+    nodal sides (which hold marking 1 and are not everything) by size and
+    lexicographically.  The candidates depend on n only, so
+    `_boundary_masks` lists them once; a call only selects."""
     if data.genus != 0:
         raise DomainError("boundary divisors are implemented for genus 0")
     table = data.excess_table()
-    full = len(table) - 1
-    order = _masks(data.n)
-    pairs = [(BoundaryDivisor(DivisorKind.COINCIDENCE, _marks(m)), m)
-             for m in order if m.bit_count() == 2 and table[m] <= 0]
-    return pairs + [
-        (BoundaryDivisor(DivisorKind.NODAL, _marks(m), _marks(full ^ m)), m)
-        for m in order if m & 1 and m != full and table[m] > 0
-        and table[full ^ m] > 0]
+    pairs, nodal = _boundary_masks(data.n)
+    return [(m, 0) for m in pairs if table[m] <= 0] + [
+        key for key in nodal if table[key[0]] > 0 and table[key[1]] > 0]
 
 
 class DivisorStatus(Enum):
@@ -634,6 +641,17 @@ class DivisorFate:
     factor_weights: Optional[WeightData] = None
 
 
+@lru_cache(maxsize=1 << 12)  # every divisor of one n up to 12, as `_marks`
+def _preserved(mask: int, complement: int) -> DivisorFate:
+    """The PRESERVED fate of the divisor of a `_boundary` key, and through
+    it the divisor: one shared (frozen) value per key.  The cache is
+    bounded; a table per n would keep 2^(n-1) divisors for good."""
+    divisor = BoundaryDivisor(DivisorKind.NODAL, _marks(mask),
+                              _marks(complement)) if complement else \
+        BoundaryDivisor(DivisorKind.COINCIDENCE, _marks(mask))
+    return DivisorFate(divisor, DivisorStatus.PRESERVED)
+
+
 def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]:
     """Classify every boundary divisor of `a` under the reduction to `b`.
 
@@ -643,21 +661,19 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
     """
     a, b = _reduction_pair(a, b, Mode.STRICT)
     table, den = b.excess_table(), b.scaled[1]
-    full = len(table) - 1
     fates = []
-    for divisor, mask in _boundary(a):
-        if divisor.kind == DivisorKind.COINCIDENCE:
-            fates.append(DivisorFate(divisor, DivisorStatus.PRESERVED))
-            continue
-        above_i = table[mask] > 0
-        above_j = table[full ^ mask] > 0
-        if above_i and above_j:
-            fates.append(DivisorFate(divisor, DivisorStatus.PRESERVED))
+    for mask, complement in _boundary(a):
+        fate = _preserved(mask, complement)
+        above_i, above_j = table[mask] > 0, table[complement] > 0
+        if not complement or above_i and above_j:  # pairs are all kept
+            fates.append(fate)
             continue
         if not (above_i or above_j):
             raise InternalInvariantError("both sides dropped to sum <= 1")
-        side_mask = full ^ mask if above_i else mask
-        side, other = _marks(side_mask), _marks(full ^ side_mask)
+        side_mask, other_mask = (complement, mask) if above_i else \
+            (mask, complement)
+        side, other = _marks(side_mask), _marks(other_mask)
+        divisor = fate.divisor
         if len(side) == 2:
             fates.append(DivisorFate(divisor, DivisorStatus.BECOMES_COINCIDENCE,
                                      collapsed_side=side))
@@ -675,9 +691,9 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
 def is_reduction_iso(a: WeightData, b: WeightData) -> bool:
     """True iff every subset crossing the sum-1 threshold has size 2."""
     a, b = _reduction_pair(a, b, Mode.STRICT)
-    table_b = b.excess_table()
-    return not any(x > 0 and table_b[mask] <= 0 and mask.bit_count() > 2
-                   for mask, x in enumerate(a.excess_table()))
+    table_a, table_b, n = a.excess_table(), b.excess_table(), a.n
+    return not any(table_a[mask] > 0 and table_b[mask] <= 0
+                   for mask in _masks(n)[1 + n + comb(n, 2):])  # size >= 3
 
 
 def is_blowup_profile(data: WeightData, subset: Iterable[int]) -> bool:
@@ -757,8 +773,6 @@ def symmetrized_boundary_count(data: WeightData,
         return tuple((mask & blk).bit_count() for blk in block_masks)
 
     # an orbit is a pair's signature, or a nodal divisor's two signatures
-    full = (1 << data.n) - 1
-    return len({(divisor.kind, signature(mask))
-                if divisor.kind == DivisorKind.COINCIDENCE else
-                (divisor.kind, *sorted(map(signature, (mask, full ^ mask))))
-                for divisor, mask in _boundary(data)})
+    # (a pair's complement is 0, so its key is one signature long)
+    return len({tuple(sorted(signature(m) for m in key if m))
+                for key in _boundary(data)})

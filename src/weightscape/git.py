@@ -18,9 +18,9 @@ from typing import Iterable
 from .errors import (AtypicalLinearization, DomainError, DomainViolation,
                      InternalInvariantError)
 from .ratcore import rat_str
-from .weights import (Granularity, Mode, Position, WeightData, _field,
-                      _integer, _listed, _marks, _masks, _positions, rationals,
-                      validate)
+from .weights import (Granularity, Mode, Position, WeightData,
+                      _boundary_masks, _field, _integer, _listed, _marks,
+                      _masks, _positions, rationals, validate)
 
 _ONE = Fraction(1)
 _TWO = Fraction(2)
@@ -116,11 +116,12 @@ def is_typical(lin: Linearization) -> bool:
 
 def strictly_semistable_types(lin: Linearization) -> tuple[frozenset[int], ...]:
     """Subsets summing to exactly 1, one per complement pair; the canonical
-    representative is the side containing index 1.  The weights sum to 2,
-    so a subset sums to 1 exactly when its complement does."""
+    representative is the side containing index 1, one of the nodal sides
+    of `_boundary_masks`.  The weights sum to 2, so a subset sums to 1
+    exactly when its complement does, and the full set never does."""
     table = lin.data.excess_table()
-    return tuple(_marks(mask) for mask in _masks(lin.n)
-                 if mask & 1 and table[mask] == 0)
+    return tuple(_marks(mask) for mask, _ in _boundary_masks(lin.n)[1]
+                 if table[mask] == 0)
 
 
 def tau(data: WeightData) -> Linearization:

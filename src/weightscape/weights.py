@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Mapping, Optional
 
 from . import jsonio
@@ -118,7 +118,10 @@ def _listed(value, name: str, kind: type,
 
 
 def _field(payload: dict, key: str):
-    """payload[key]; a missing key is an input error, not a KeyError."""
+    """payload[key]; a payload that is no mapping, or a missing key, is an
+    input error, not a TypeError or KeyError."""
+    if not isinstance(payload, Mapping):
+        raise DomainError(f"a payload must be a mapping, got {payload!r}")
     try:
         return payload[key]
     except KeyError:
@@ -233,6 +236,17 @@ def _masks(n: int) -> tuple[int, ...]:
     size, then lexicographically in the markings."""
     return tuple(sum(1 << m for m in s) for size in range(n + 1)
                  for s in combinations(range(n), size))
+
+
+@lru_cache(maxsize=None)
+def _boundary_masks(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The candidates of the genus-0 boundary over n markings, each in the
+    order of `_masks`: the mask of every pair, and the (mask, complement)
+    of every nodal side, which holds marking 1 and is not every marking.
+    Weights only choose among them."""
+    full, order = (1 << n) - 1, _masks(n)
+    return (order[n + 1:n + 1 + comb(n, 2)],
+            tuple((m, full ^ m) for m in order if m & 1 and m != full))
 
 
 def _wall_masks(genus: int, n: int, granularity: Granularity) -> tuple[int, ...]:

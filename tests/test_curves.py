@@ -15,7 +15,8 @@ from weightscape.errors import (DomainError, LimitExceeded, NotAStable,
 from weightscape.named import FamilyKind
 from weightscape.weights import Mode
 
-from conftest import (brute_force_boundary, graph_contract, rand_weight,
+from conftest import (brute_force_boundary, fraction_divisor_fate,
+                      fraction_sum, graph_contract, rand_weight,
                       random_between, random_dominated, random_nodal_curve,
                       random_stable_tree, random_weight_data, relabel_tree)
 
@@ -245,6 +246,63 @@ class TestBoundaryDivisors:
                          if d.kind == DivisorKind.COINCIDENCE}
             assert got_nodal == nodal
             assert got_pairs == pairs
+
+    def test_past_the_shared_divisor_bound(self):
+        # n = 13 has 2^12 - 1 nodal sides and 78 pairs, more keys than the
+        # shared-divisor cache holds
+        a = ws.validate(0, [1, 1, F(5, 6), F(3, 4), F(2, 3), F(1, 2), F(1, 2),
+                            F(1, 3), F(1, 3), F(1, 4), F(1, 4), F(1, 6),
+                            F(1, 6)])
+        b = ws.validate(0, [w / 3 for w in a.weights], Mode.ZERO_ALLOWED)
+        nodal, pairs = brute_force_boundary(a)
+        divisors = ws.boundary_divisors(a)
+        assert {frozenset((d.members, d.complement)) for d in divisors
+                if d.kind == DivisorKind.NODAL} == nodal
+        assert {d.members for d in divisors
+                if d.kind == DivisorKind.COINCIDENCE} == pairs
+        assert len(divisors) == len(nodal) + len(pairs)
+        assert list(divisors) == sorted(divisors,
+                                        key=ws.BoundaryDivisor.sort_key)
+        fates = ws.contracted_divisors(a, b)
+        assert [f.divisor for f in fates] == list(divisors)
+        for fate in fates:
+            assert (fate.status, fate.collapsed_side) == \
+                fraction_divisor_fate(fate.divisor, b.weights)
+            if fate.status == DivisorStatus.CONTRACTED:
+                side = fate.collapsed_side
+                assert fate.factor_weights.weights == tuple(
+                    b.weights[j - 1] for j in range(1, 14) if j not in side) \
+                    + (fraction_sum(b.weights, side),)
+        assert {f.status for f in fates} == set(DivisorStatus)
+        singletons = [[m] for m in range(1, 14)]
+        assert ws.symmetrized_boundary_count(a, singletons) == len(divisors)
+        # two equal-weight blocks: an orbit is what each side holds of each
+        equal = ws.validate(0, [F(1, 2)] * 6 + [F(1, 3)] * 7)
+        blocks = [range(1, 7), range(7, 14)]
+        nodal, pairs = brute_force_boundary(equal)
+
+        def counts(side):
+            return tuple(len(side.intersection(blk)) for blk in blocks)
+
+        orbits = {frozenset(map(counts, sides)) for sides in nodal} | \
+            {counts(pair) for pair in pairs}
+        assert ws.symmetrized_boundary_count(equal, blocks) == len(orbits)
+
+    def test_divisors_are_shared_values(self):
+        first = ws.validate(0, [1] * 6)
+        second = ws.validate(0, [1, 1, 1, F(1, 2), F(1, 3), F(1, 6)])
+        ours = {d: d for d in ws.boundary_divisors(first)}
+        shared = [d for d in ws.boundary_divisors(second) if d in ours]
+        assert shared and all(ours[d] is d for d in shared)
+        preserved = [f for f in ws.contracted_divisors(second, second)]
+        assert all(f.divisor is d for f, d in
+                   zip(preserved, ws.boundary_divisors(second)))
+        assert preserved[0] is ws.contracted_divisors(second, second)[0]
+
+    def test_shared_divisor_cache_is_bounded(self):
+        maxsize = curves._preserved.cache_info().maxsize
+        assert maxsize is not None
+        assert maxsize >= 2 ** 11 - 1 + 66  # every divisor of n = 12
 
     def test_matches_codim1_strata(self, rng):
         for _ in range(10):
@@ -744,6 +802,18 @@ def test_vertex_log_degree_refuses_mismatched_weights(weights):
     if isinstance(weights, list):
         weights = ws.validate(0, weights)
     message = r"tree markings \[1, 2, 3\] do not match the weight indices"
+    for call in (ws.is_stable, ws.vertex_log_degree):
+        args = (weights,) if call is ws.is_stable else (1, weights)
+        with pytest.raises(DomainError, match=message):
+            call(tree, *args)
+
+
+def test_vertex_log_degree_refuses_another_genus():
+    """`vertex_log_degree` refuses weight data of another genus than the
+    tree's arithmetic genus, with the error `is_stable` gives."""
+    tree = ws.marked_tree([(1, 0, [[1], [2], [3]])])
+    weights = ws.validate(1, [1, 1, 1])
+    message = "tree has arithmetic genus 0, weight data has genus 1"
     for call in (ws.is_stable, ws.vertex_log_degree):
         args = (weights,) if call is ws.is_stable else (1, weights)
         with pytest.raises(DomainError, match=message):

@@ -49,9 +49,9 @@ def genus0_weights(draw, n=None):
 
 
 @st.composite
-def dominated_pair(draw):
+def dominated_pair(draw, max_n=8):
     """(a, b) with b <= a componentwise, b valid, small denominators."""
-    a = draw(genus0_weights())
+    a = draw(genus0_weights(draw(st.integers(3, max_n))))
     b = tuple(w * draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3),
                                         Fraction(5, 6), Fraction(1)]))
               for w in a.weights)
@@ -122,7 +122,7 @@ def test_perturb_and_ucurve_match_fraction_gaps(data):
 
 
 @SETTINGS
-@given(dominated_pair())
+@given(dominated_pair(max_n=10))
 # {1, 2, 3} sums to exactly 1 on both sides: on its wall, it does not cross
 @example((_weights("1/3", "1/3", "1/3", "1", "1"),
           _weights("1/3", "1/3", "1/3", "1", "1")))

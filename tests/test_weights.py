@@ -634,6 +634,18 @@ def test_missing_payload_key_is_a_domain_error(parse, payload, key):
     assert str(info.value) == f"the payload has no key {key!r}"
 
 
+@pytest.mark.parametrize("parse, payload", [
+    (ws.WeightData.from_json_dict, [1]),
+    (ws.MarkedTree.from_json_dict, [1]),
+    (ws.Linearization.from_json_dict, "x"),
+    (ws.ConfigType.from_json_dict, 3),
+], ids=["weight-data", "marked-tree", "linearization", "config-type"])
+def test_payload_that_is_no_mapping_is_a_domain_error(parse, payload):
+    with pytest.raises(DomainError) as info:
+        parse(payload)
+    assert str(info.value) == f"a payload must be a mapping, got {payload!r}"
+
+
 def test_weight_json_round_trip():
     data = ws.validate(0, [F(2, 3), 1, F(1, 6), F(5, 6)])
     payload = data.to_json_dict()
