@@ -39,8 +39,8 @@ from .errors import (DomainError, InternalInvariantError,
                      WeightsNotDominated)
 from .ratcore import rational
 from .weights import (Mode, WeightData, _boundary_masks, _check_limit,
-                      _field, _integer, _listed, _marks, _masks,
-                      integer_scaled, validate)
+                      _field, _integer, _listed, _marks, _masks, _valid,
+                      integer_scaled)
 
 WeightsLike = Union[WeightData, Mapping[int, Fraction]]
 
@@ -343,11 +343,14 @@ def is_stable(tree: MarkedTree, weights: WeightsLike,
     vertex has positive log degree.  It runs on the integer kernel; only
     reported degrees are Fractions.  The tree is well-formed, as every
     MarkedTree is checked on construction.
+
+    `mode` applies to a WeightData only.  Weights given as a mapping from
+    marking to rational are read as given: no domain is checked for them.
     """
     if not isinstance(mode, Mode):
         raise DomainError(f"mode must be a Mode, got {mode!r}")
     if isinstance(weights, WeightData):
-        validate(weights.genus, weights.weights, mode)
+        weights = _valid(weights, mode)
     _check_genus(tree, weights)
     return _stability(tree, *_integer_weights(weights))
 
@@ -442,8 +445,8 @@ def _contract(tree: MarkedTree, nums: Mapping[int, int],
 def _reduction_pair(a: WeightData, b: WeightData, mode_a: Mode):
     """Validate a (in mode_a) and b (zeros allowed), same genus and length,
     with b <= a componentwise."""
-    a = validate(a.genus, a.weights, mode_a)
-    b = validate(b.genus, b.weights, Mode.ZERO_ALLOWED)
+    a = _valid(a, mode_a)
+    b = _valid(b, Mode.ZERO_ALLOWED)
     if (a.genus, a.n) != (b.genus, b.n):
         raise DomainError("weight data have different genus or length")
     if any(bw > aw for aw, bw in zip(a.weights, b.weights)):
@@ -470,7 +473,7 @@ def stabilize(tree: MarkedTree, a: WeightData, b: WeightData) -> MarkedTree:
 def forget(tree: MarkedTree, a: WeightData, keep: Iterable[int]) -> MarkedTree:
     """Delete the markings outside `keep`, then contract until stable for
     the kept weights.  Labels are preserved verbatim."""
-    a = validate(a.genus, a.weights, Mode.ZERO_ALLOWED)
+    a = _valid(a, Mode.ZERO_ALLOWED)
     kept = sorted({_integer(k, "keep entry") for k in keep})
     full, den = a.scaled
     if not kept or any(k not in full for k in kept):
@@ -580,7 +583,7 @@ def enumerate_strata(data: WeightData, max_codim: int, *,
                      limit: Optional[int] = None) -> tuple[Stratum, ...]:
     """All stable marked trees up to codimension `max_codim`, genus 0 only,
     in deterministic (codimension, canonical key) order."""
-    data = validate(data.genus, data.weights, Mode.STRICT)
+    data = _valid(data, Mode.STRICT)
     if data.genus != 0:
         raise DomainError("stratum enumeration is implemented for genus 0")
     if _integer(max_codim, "max_codim") < 0:
@@ -610,7 +613,7 @@ def boundary_divisors(data: WeightData) -> tuple[BoundaryDivisor, ...]:
     """Codimension-1 boundary: unordered partitions with both weight-sums
     above 1 (nodal) and pairs with weight-sum at most 1 (coincidence)."""
     return tuple([_preserved(*key).divisor for key in
-                  _boundary(validate(data.genus, data.weights, Mode.STRICT))])
+                  _boundary(_valid(data, Mode.STRICT))])
 
 
 def _boundary(data: WeightData) -> list[tuple[int, int]]:
@@ -755,7 +758,7 @@ def symmetrized_boundary_count(data: WeightData,
                                blocks: Iterable[Iterable[int]]) -> int:
     """Number of boundary-divisor orbits under the product of symmetric
     groups permuting within the given equal-weight blocks."""
-    data = validate(data.genus, data.weights, Mode.STRICT)
+    data = _valid(data, Mode.STRICT)
     block_list = [tuple(sorted({_integer(i, "block entry") for i in blk}))
                   for blk in blocks]
     block_list.sort(key=lambda blk: blk[0] if blk else 0)

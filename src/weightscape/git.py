@@ -20,7 +20,7 @@ from .errors import (AtypicalLinearization, DomainError, DomainViolation,
 from .ratcore import rat_str
 from .weights import (Granularity, Mode, Position, WeightData,
                       _boundary_masks, _field, _integer, _listed, _marks,
-                      _masks, _positions, rationals, validate)
+                      _masks, _positions, _valid, rationals, validate)
 
 _ONE = Fraction(1)
 _TWO = Fraction(2)
@@ -173,7 +173,7 @@ def chamber_matches_quotient(data: WeightData, lin: Linearization) -> QuotientMa
     Subsets with sum(a_S) exactly 1 sit on a wall; they are reported as
     ambiguities rather than silently resolved.
     """
-    data = validate(data.genus, data.weights, Mode.STRICT)
+    data = _valid(data, Mode.STRICT)
     if data.genus != 0:
         raise DomainError("quotient matching is defined for genus 0")
     if data.n != lin.n:

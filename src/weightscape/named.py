@@ -19,7 +19,7 @@ from typing import Optional
 
 from .curves import DivisorFate, DivisorStatus, contracted_divisors
 from .errors import DomainError, InternalInvariantError
-from .weights import Mode, WeightData, _integer, validate
+from .weights import Mode, WeightData, _integer, _valid, validate
 
 
 class FamilyKind(Enum):
@@ -169,7 +169,7 @@ def classify(data: WeightData) -> tuple[NamedFamily, ...]:
     """All named regions (X chain, Y chain, Losev-Manin) whose printed
     inequality system the weight data satisfies; empty when none match.
     Overlapping Y descriptions may legitimately both match."""
-    data = validate(data.genus, data.weights, Mode.STRICT)
+    data = _valid(data, Mode.STRICT)
     if data.genus != 0:
         raise DomainError("named families live in genus 0")
     n, table = data.n, data.excess_table()

@@ -38,6 +38,9 @@ class Mode(Enum):
     BOUNDARY = "boundary"    # g=0 only: 0 < a_j < 1 and sum = 2
 
 
+_NONZERO_MODES = frozenset({Mode.STRICT, Mode.ZERO_ALLOWED})
+
+
 @dataclass(frozen=True)
 class WeightData:
     genus: int
@@ -154,7 +157,7 @@ def validate(genus, weights, mode: Mode = Mode.STRICT) -> WeightData:
     low, high, rule = {Mode.STRICT: (1, den, "0 < a_{} <= 1"),
                        Mode.ZERO_ALLOWED: (0, den, "0 <= a_{} <= 1"),
                        Mode.BOUNDARY: (1, den - 1, "0 < a_{} < 1")}[mode]
-    if min(nums.values()) < low or max(nums.values()) > high:
+    if (least := min(nums.values())) < low or max(nums.values()) > high:
         i = next(i for i, x in nums.items() if not low <= x <= high)
         raise WeightOutOfRange(i, ws[i - 1],
                                f"need {rule.format(i)}, got {ws[i - 1]}")
@@ -167,7 +170,19 @@ def validate(genus, weights, mode: Mode = Mode.STRICT) -> WeightData:
         raise DegreeNotPositive(f"2g-2+sum(a) = {Fraction(degree, den)} <= 0")
     data = WeightData(genus, ws)
     data.__dict__["scaled"] = scaled  # what the cached property would give
+    # every mode the datum satisfies, which `_valid` trusts: a sum of 2 is
+    # no positive degree in genus 0, and STRICT is ZERO_ALLOWED without zeros
+    data.__dict__["_modes"] = _NONZERO_MODES \
+        if least and mode != Mode.BOUNDARY else frozenset({mode})
     return data
+
+
+def _valid(data, mode: Mode) -> WeightData:
+    """`data` itself when `validate` built it and recorded `mode` for it;
+    any other datum, hand-built, replaced or of a subclass, is validated."""
+    if type(data) is WeightData and mode in data.__dict__.get("_modes", ()):
+        return data
+    return validate(data.genus, data.weights, mode)
 
 
 class Granularity(Enum):
@@ -282,7 +297,7 @@ def _check_wall_args(genus, n, granularity) -> None:
 
 def locate(data: WeightData, granularity: Granularity) -> SignVector:
     """Exact position of the weight datum against every wall."""
-    validate(data.genus, data.weights, Mode.ZERO_ALLOWED)
+    data = _valid(data, Mode.ZERO_ALLOWED)
     return SignVector(data.genus, data.n, granularity,
                       _positions(data, granularity))
 
@@ -508,7 +523,7 @@ def perturb_to_fine_chamber(data: WeightData) -> WeightData:
     below-walls stay below with margin, above-walls above with margin, the
     degree condition keeps its margin, and every weight stays positive.
     """
-    data = validate(data.genus, data.weights, Mode.STRICT)
+    data = _valid(data, Mode.STRICT)
     slacks = [data.total - (2 - 2 * data.genus), min(data.weights)]
     masks = _wall_masks(data.genus, data.n, Granularity.FINE)
     gaps = [abs(e) for e in map(data.excess_table().__getitem__, masks) if e]
@@ -527,7 +542,7 @@ def universal_curve_weight(data: WeightData) -> WeightData:
     """Append a small weight eps realizing the universal curve: eps is half
     the minimum distance |sum_S a - 1| over the fine walls.  Raises OnWall
     when the input sits on a fine wall."""
-    data = validate(data.genus, data.weights, Mode.STRICT)
+    data = _valid(data, Mode.STRICT)
     masks = _wall_masks(data.genus, data.n, Granularity.FINE)
     gaps = list(map(abs, map(data.excess_table().__getitem__, masks)))
     if 0 in gaps:
