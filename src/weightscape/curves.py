@@ -274,12 +274,6 @@ def canonical_form(tree: MarkedTree) -> MarkedTree:
     return _tree_of_key(canonical_key(tree), {})
 
 
-def _integer_weights(weights: WeightsLike) -> tuple[dict[int, int], int]:
-    return weights.scaled if isinstance(weights, WeightData) else \
-        integer_scaled({_integer(k, "marking"): rational(v, f"a_{k}")
-                        for k, v in weights.items()})
-
-
 def _valences(vertex_ids: Iterable[int], edges) -> dict[int, int]:
     """Every valence in one pass over the edges (self-loops count twice)."""
     valence = dict.fromkeys(vertex_ids, 0)
@@ -294,29 +288,36 @@ def _log_degree(genus: int, valence: int, weight: int, den: int) -> int:
     return (2 * genus - 2 + valence) * den + weight
 
 
-def _check_genus(tree: MarkedTree, weights: WeightsLike) -> None:
-    """A WeightData's genus must be the tree's arithmetic genus."""
-    if isinstance(weights, WeightData) and \
-            tree.arithmetic_genus != weights.genus:
-        raise DomainError(
-            f"tree has arithmetic genus {tree.arithmetic_genus}, "
-            f"weight data has genus {weights.genus}")
-
-
-def _check_markings(tree: MarkedTree, nums: Mapping[int, int]) -> None:
+def _tree_weights(tree: MarkedTree, weights: WeightsLike,
+                  mode: Mode) -> tuple[dict[int, int], int]:
+    """The integer form (nums, den) of weights on the tree.  A WeightData
+    must lie in the domain of `mode` and have the tree's arithmetic genus;
+    a mapping from marking to rational is read as given.  Either way the
+    weighted markings must be the tree's."""
+    if isinstance(weights, WeightData):
+        weights = _valid(weights, mode)
+        if tree.arithmetic_genus != weights.genus:
+            raise DomainError(
+                f"tree has arithmetic genus {tree.arithmetic_genus}, "
+                f"weight data has genus {weights.genus}")
+        nums, den = weights.scaled
+    else:
+        nums, den = integer_scaled({_integer(k, "marking"):
+                                    rational(v, f"a_{k}")
+                                    for k, v in weights.items()})
     if tree.markings != frozenset(nums):
         raise DomainError(
             f"tree markings {sorted(tree.markings)} do not match the weight "
             f"indices {sorted(nums)}")
+    return nums, den
 
 
 def vertex_log_degree(tree: MarkedTree, vertex_id: int,
                       weights: WeightsLike) -> Fraction:
     """Degree of the log divisor on one component:
-    2g_v - 2 + valence (self-loops twice) + sum of marking weights there."""
-    _check_genus(tree, weights)
-    nums, den = _integer_weights(weights)
-    _check_markings(tree, nums)
+    2g_v - 2 + valence (self-loops twice) + sum of marking weights there.
+    Weights are checked as `is_stable` checks them in ZERO_ALLOWED mode."""
+    nums, den = _tree_weights(tree, weights, Mode.ZERO_ALLOWED)
     v = tree.vertex(vertex_id)
     weight = sum(nums[m] for c in v.classes for m in c.markings)
     return Fraction(_log_degree(v.genus, tree.valence(vertex_id), weight, den),
@@ -349,15 +350,12 @@ def is_stable(tree: MarkedTree, weights: WeightsLike,
     """
     if not isinstance(mode, Mode):
         raise DomainError(f"mode must be a Mode, got {mode!r}")
-    if isinstance(weights, WeightData):
-        weights = _valid(weights, mode)
-    _check_genus(tree, weights)
-    return _stability(tree, *_integer_weights(weights))
+    return _stability(tree, *_tree_weights(tree, weights, mode))
 
 
 def _stability(tree: MarkedTree, nums: Mapping[int, int],
                den: int) -> StabilityReport:
-    _check_markings(tree, nums)
+    """`is_stable`'s report, for numerators on exactly the tree's markings."""
     valence = _valences(tree.vertex_ids, tree.edges)
     class_bad, node_bad, degree_bad = [], [], []
     for v in tree.vertices:
@@ -449,7 +447,8 @@ def _reduction_pair(a: WeightData, b: WeightData, mode_a: Mode):
     b = _valid(b, Mode.ZERO_ALLOWED)
     if (a.genus, a.n) != (b.genus, b.n):
         raise DomainError("weight data have different genus or length")
-    if any(bw > aw for aw, bw in zip(a.weights, b.weights)):
+    (nums_a, den_a), (nums_b, den_b) = a.scaled, b.scaled
+    if any(nums_b[m] * den_a > x * den_b for m, x in nums_a.items()):
         raise WeightsNotDominated("target weights exceed the source weights")
     return a, b
 

@@ -22,10 +22,6 @@ from .weights import (Granularity, Mode, Position, WeightData,
                       _boundary_masks, _field, _integer, _listed, _marks,
                       _masks, _positions, _valid, rationals, validate)
 
-_ONE = Fraction(1)
-_TWO = Fraction(2)
-
-
 @dataclass(frozen=True)
 class Linearization:
     t: tuple[Fraction, ...]
@@ -129,12 +125,13 @@ def tau(data: WeightData) -> Linearization:
     boundary: divide by half the total."""
     if data.genus != 0:
         raise DomainError("tau is defined for genus 0")
-    total = data.total
-    if total < _TWO or any(not (0 < w < _ONE) for w in data.weights):
+    nums, den = data.scaled  # every weight an exact rational, or DomainError
+    total = sum(nums.values())
+    if total < 2 * den or any(not 0 < x < den for x in nums.values()):
         raise DomainViolation(
             "tau needs sum(b) >= 2 and 0 < b_i < 1 for every i")
-    half = total / 2
-    return Linearization.make(tuple(w / half for w in data.weights))
+    return Linearization.make(tuple(Fraction(2 * x, total)
+                                    for x in nums.values()))
 
 
 def tau_fine_preimage(lin: Linearization) -> WeightData:

@@ -356,8 +356,9 @@ def _cached_chambers(path: str, genus: int, n: int,
     """The chambers stored in a cache file, or None when it is unreadable or
     fails a check.  The header and wall list must match; each representative
     must be a list of n canonical `rat_str` weights inside the domain whose
-    own sign string, free of ON, is the stored one; no two chambers may
-    share a sign string.  Each distinct weight string is parsed once."""
+    own sign string, free of ON, is the stored one; the sign strings must
+    increase strictly, as the search emits them.  Each distinct weight
+    string is parsed once."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.loads(fh.read())
@@ -369,8 +370,7 @@ def _cached_chambers(path: str, genus: int, n: int,
                  len(entries)]:
             return None
         parsed: dict[str, tuple[Fraction, int, int]] = {}
-        seen: set[str] = set()
-        out = []
+        out, last = [], None
         for entry in entries:
             signs, strings = entry["signs"], entry["representative"]
             if not isinstance(strings, list) or len(strings) != n:
@@ -386,15 +386,17 @@ def _cached_chambers(path: str, genus: int, n: int,
             nums = {m: p * (den // q)
                     for m, (_, p, q) in enumerate(parts, start=1)}
             rep = WeightData(genus, tuple(w for w, _, _ in parts))
-            rep.__dict__["scaled"] = nums, den  # as `validate` seeds it
             if not _in_domain(genus, nums.values(), den):
                 return None
+            # as `validate` seeds and records them
+            rep.__dict__.update(scaled=(nums, den), _modes=_NONZERO_MODES)
             vec = SignVector(genus, n, granularity,
                              _positions(rep, granularity))
-            if vec.has_on or vec.codes() != signs or signs in seen:
+            if vec.has_on or vec.codes() != signs or \
+                    last is not None and signs <= last:
                 return None
-            seen.add(signs)
             out.append(Chamber(vec, rep))
+            last = signs
         return tuple(out)
     except (ValueError, KeyError, TypeError, ZeroDivisionError,
             RecursionError):
@@ -482,6 +484,7 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
                 raise InternalInvariantError(
                     f"the point {rep.to_json_dict()} of the {granularity.value}"
                     f" chamber {vec.codes()} leaves the domain")
+            rep.__dict__["_modes"] = _NONZERO_MODES  # as `validate` records
             chambers.append(Chamber(vec, rep))
         elif any(signs[j] == implied for j, implied in forcing[index]):
             stack.append((index + 1, stages, Position.ABOVE))
@@ -524,13 +527,13 @@ def perturb_to_fine_chamber(data: WeightData) -> WeightData:
     degree condition keeps its margin, and every weight stays positive.
     """
     data = _valid(data, Mode.STRICT)
-    slacks = [data.total - (2 - 2 * data.genus), min(data.weights)]
+    nums, den = data.scaled
+    # the degree, least-weight and wall slacks, as numerators over den
+    slacks = [(2 * data.genus - 2) * den + sum(nums.values()),
+              min(nums.values())]
     masks = _wall_masks(data.genus, data.n, Granularity.FINE)
-    gaps = [abs(e) for e in map(data.excess_table().__getitem__, masks) if e]
-    if gaps:
-        slacks.append(Fraction(min(gaps), data.scaled[1]))
-    eps = min(slacks) / 2
-    step = eps / data.n
+    slacks += [abs(e) for e in map(data.excess_table().__getitem__, masks) if e]
+    step = Fraction(min(slacks), 2 * den * data.n)  # eps / n
     shifted = validate(data.genus, tuple(w - step for w in data.weights),
                        Mode.STRICT)
     if Position.ON in _positions(shifted, Granularity.FINE):

@@ -637,7 +637,7 @@ CACHE_TAMPERS = ("weight 2", "zero weight", "degree zero", "on a wall",
                  "other signs", "short signs", "padded weight",
                  "unreduced weight", "integer weight", "zero denominator",
                  "string representative", "duplicate", "header", "list",
-                 "null", "entry x")
+                 "null", "entry x", "reordered")
 
 
 # The contraction loop `curves._contract` replaced, kept verbatim as the
@@ -841,6 +841,8 @@ def tamper_chamber_cache(payload, kind):
         return None
     elif kind == "entry x":
         chambers[0] = "x"
+    elif kind == "reordered":  # each entry as written, out of sign order
+        chambers[0], chambers[1] = chambers[1], first
     else:
         raise ValueError(kind)
     return payload

@@ -169,6 +169,20 @@ class TestTau:
         with pytest.raises(DomainViolation):
             ws.tau(ws.WeightData(0, (F(1, 2), F(1, 2), F(1, 2))))
 
+    def test_hand_built_weights_read_as_validate_reads_them(self):
+        assert ws.tau(ws.WeightData(0, ("1/2",) * 5)) == \
+            ws.tau(ws.validate(0, ["1/2"] * 5))
+
+    @pytest.mark.parametrize("weights, message", [
+        ((F(1, 2),) * 4 + (0.5,), "a_5 = 0.5 is not an exact rational"),
+        ((True,) + (F(1, 2),) * 4, "a_1 = True is not an exact rational"),
+    ], ids=["float", "bool"])
+    def test_inexact_weight_is_named(self, weights, message):
+        with pytest.raises(DomainError) as info:
+            ws.tau(ws.WeightData(0, weights))
+        assert type(info.value) is DomainError
+        assert str(info.value) == message
+
 
 class TestTauPreimage:
     def test_round_trip(self, rng):

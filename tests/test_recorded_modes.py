@@ -48,6 +48,7 @@ ENTRY_POINTS = {
     "universal_curve_weight": (S, ws.universal_curve_weight),
     "is_stable": (S, lambda d: ws.is_stable(_root(d.n), d)),
     "is_stable-zero": (Z, lambda d: ws.is_stable(_root(d.n), d, Z)),
+    "vertex_log_degree": (Z, lambda d: ws.vertex_log_degree(_root(d.n), 1, d)),
     "stabilize-a": (Z, lambda d: ws.stabilize(_root(d.n), d, _good(d.n))),
     "stabilize-b": (Z, lambda d: ws.stabilize(_root(d.n), _good(d.n), d)),
     "forget": (Z, lambda d: ws.forget(_root(d.n), d, range(1, d.n + 1))),
@@ -223,3 +224,47 @@ def test_unrecorded_data_are_checked_in_full(validations, unrecorded):
     ws.boundary_divisors(data)
     ws.locate(data, FINE)
     assert validations == [(0, data.weights, S), (0, data.weights, Z)]
+
+
+# -- chamber representatives carry the record -------------------------------
+
+@pytest.fixture(params=["search", "cache hit"])
+def representatives(request, tmp_path, monkeypatch):
+    """(genus, n) -> the fine chamber representatives, as the search builds
+    them or as a cache hit reads them."""
+    monkeypatch.delenv(weights.CACHE_ENV_VAR, raising=False)
+
+    def no_search(*args):
+        raise AssertionError("a cache hit ran the chamber search")
+
+    def build(genus, n):
+        if request.param == "search":
+            chambers = ws.enumerate_chambers(genus, n, FINE)
+        else:
+            cache = str(tmp_path / f"g{genus}-n{n}")
+            ws.enumerate_chambers(genus, n, FINE, cache_dir=cache)
+            with monkeypatch.context() as patch:
+                patch.setattr(weights, "_extend", no_search)
+                chambers = ws.enumerate_chambers(genus, n, FINE,
+                                                 cache_dir=cache)
+        return [chamber.representative for chamber in chambers]
+
+    return build
+
+
+@pytest.mark.parametrize("genus, n", [(0, 4), (1, 4), (0, 5)])
+def test_representatives_carry_what_validate_records(representatives,
+                                                     genus, n):
+    for rep in representatives(genus, n):
+        assert weights._valid(rep, S) is rep
+        assert rep.__dict__["_modes"] == \
+            ws.validate(genus, rep.weights).__dict__["_modes"]
+
+
+def test_representatives_are_not_checked_again(representatives, validations):
+    reps = representatives(0, 5)
+    validations.clear()
+    for rep in reps:
+        ws.locate(rep, FINE)
+        ws.boundary_divisors(rep)
+    assert validations == []
