@@ -386,10 +386,9 @@ def _cached_chambers(path: str, genus: int, n: int,
             nums = {m: p * (den // q)
                     for m, (_, p, q) in enumerate(parts, start=1)}
             rep = WeightData(genus, tuple(w for w, _, _ in parts))
+            rep.__dict__["scaled"] = nums, den  # as `validate` seeds it
             if not _in_domain(genus, nums.values(), den):
                 return None
-            # as `validate` seeds and records them
-            rep.__dict__.update(scaled=(nums, den), _modes=_NONZERO_MODES)
             vec = SignVector(genus, n, granularity,
                              _positions(rep, granularity))
             if vec.has_on or vec.codes() != signs or \
@@ -484,7 +483,6 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
                 raise InternalInvariantError(
                     f"the point {rep.to_json_dict()} of the {granularity.value}"
                     f" chamber {vec.codes()} leaves the domain")
-            rep.__dict__["_modes"] = _NONZERO_MODES  # as `validate` records
             chambers.append(Chamber(vec, rep))
         elif any(signs[j] == implied for j, implied in forcing[index]):
             stack.append((index + 1, stages, Position.ABOVE))

@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import weightscape as ws
 from weightscape import curves
 from weightscape.curves import DegreeCase, DivisorKind, DivisorStatus
-from weightscape.errors import (DegreeNotPositive, DomainError,
-                                LimitExceeded, NotAStable,
+from weightscape.errors import (DomainError, LimitExceeded, NotAStable,
                                 ResidualDegreeNotPositive,
                                 UnequalWeightsInBlock, WeightsNotDominated)
 from weightscape.named import FamilyKind
@@ -819,18 +818,6 @@ def test_vertex_log_degree_refuses_another_genus():
         args = (weights,) if call is ws.is_stable else (1, weights)
         with pytest.raises(DomainError, match=message):
             call(tree, *args)
-
-
-def test_vertex_log_degree_refuses_boundary_data():
-    """A BOUNDARY datum sums to 2, no positive degree in genus 0:
-    `vertex_log_degree` refuses it as `is_stable` does with zeros allowed."""
-    tree = ws.marked_tree([(1, 0, [[1], [2], [3], [4]])])
-    data = ws.Linearization.make(["1/2"] * 4).data
-    for call in (lambda: ws.is_stable(tree, data, Mode.ZERO_ALLOWED),
-                 lambda: ws.vertex_log_degree(tree, 1, data)):
-        with pytest.raises(DegreeNotPositive,
-                           match=r"^2g-2\+sum\(a\) = 0 <= 0$"):
-            call()
 
 
 @st.composite

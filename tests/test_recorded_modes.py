@@ -68,6 +68,7 @@ ENTRY_POINTS = {
     "classify": (S, ws.classify),
 }
 STRICT_POINTS = [k for k, (mode, _) in ENTRY_POINTS.items() if mode == S]
+ZERO_POINTS = [k for k, (mode, _) in ENTRY_POINTS.items() if mode == Z]
 
 
 @pytest.mark.parametrize("point", ENTRY_POINTS)
@@ -91,6 +92,12 @@ def test_boundary_datum_is_refused_where_strict(point):
     data = _lin(4).data
     with pytest.raises(DegreeNotPositive, match=r"^2g-2\+sum\(a\) = 0 <= 0$"):
         ENTRY_POINTS[point][1](data)
+
+
+@pytest.mark.parametrize("point", ZERO_POINTS)
+def test_boundary_datum_is_refused_where_zeros_are_allowed(point):
+    """Sum 2 in genus 0 leaves no positive degree with zeros allowed too."""
+    test_boundary_datum_is_refused_where_strict(point)
 
 
 def test_record_leaves_equality_hash_and_repr_alone():
@@ -224,47 +231,3 @@ def test_unrecorded_data_are_checked_in_full(validations, unrecorded):
     ws.boundary_divisors(data)
     ws.locate(data, FINE)
     assert validations == [(0, data.weights, S), (0, data.weights, Z)]
-
-
-# -- chamber representatives carry the record -------------------------------
-
-@pytest.fixture(params=["search", "cache hit"])
-def representatives(request, tmp_path, monkeypatch):
-    """(genus, n) -> the fine chamber representatives, as the search builds
-    them or as a cache hit reads them."""
-    monkeypatch.delenv(weights.CACHE_ENV_VAR, raising=False)
-
-    def no_search(*args):
-        raise AssertionError("a cache hit ran the chamber search")
-
-    def build(genus, n):
-        if request.param == "search":
-            chambers = ws.enumerate_chambers(genus, n, FINE)
-        else:
-            cache = str(tmp_path / f"g{genus}-n{n}")
-            ws.enumerate_chambers(genus, n, FINE, cache_dir=cache)
-            with monkeypatch.context() as patch:
-                patch.setattr(weights, "_extend", no_search)
-                chambers = ws.enumerate_chambers(genus, n, FINE,
-                                                 cache_dir=cache)
-        return [chamber.representative for chamber in chambers]
-
-    return build
-
-
-@pytest.mark.parametrize("genus, n", [(0, 4), (1, 4), (0, 5)])
-def test_representatives_carry_what_validate_records(representatives,
-                                                     genus, n):
-    for rep in representatives(genus, n):
-        assert weights._valid(rep, S) is rep
-        assert rep.__dict__["_modes"] == \
-            ws.validate(genus, rep.weights).__dict__["_modes"]
-
-
-def test_representatives_are_not_checked_again(representatives, validations):
-    reps = representatives(0, 5)
-    validations.clear()
-    for rep in reps:
-        ws.locate(rep, FINE)
-        ws.boundary_divisors(rep)
-    assert validations == []
