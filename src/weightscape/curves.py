@@ -39,8 +39,8 @@ from .errors import (DomainError, InternalInvariantError,
                      WeightsNotDominated)
 from .ratcore import rational
 from .weights import (Mode, WeightData, _boundary_masks, _check_limit,
-                      _field, _integer, _listed, _marks, _masks, _valid,
-                      integer_scaled)
+                      _field, _integer, _listed, _marks, _masks, _record,
+                      _valid, integer_scaled)
 
 WeightsLike = Union[WeightData, Mapping[int, Fraction]]
 
@@ -166,22 +166,29 @@ def marked_tree(vertices, edges=()) -> MarkedTree:
     return MarkedTree(tuple(built), norm_edges)
 
 
-def _check_tree(tree: MarkedTree) -> dict[int, list[int]]:
-    """The check every MarkedTree passes on construction; returns the
-    adjacency.  One pass over the edges and one over the vertices.  In the
-    order in which a failure is reported: some vertex, unique ids, edge
-    ends in the tree, integer genera >= 0, disjoint classes, connected."""
+def _check_tree(tree: MarkedTree) -> None:
+    """The check every MarkedTree passes on construction.  In the order in
+    which a failure is reported: some vertex, unique ids, edge ends in the
+    tree, integer genera >= 0, disjoint classes, connected.  One pass over
+    the edges checks their ends and grows the set reached from the first
+    vertex: an edge with one end reached adds the other.  Sorted edges of
+    a tree whose ids are in preorder, as `_tree_of_key` builds them, reach
+    every vertex in that pass; only when it misses one does a search over
+    the adjacency decide."""
     vertices = tree.vertices
     if not vertices:
         raise DomainError("a tree needs at least one vertex")
-    adjacency: dict[int, list[int]] = {v.id: [] for v in vertices}
-    if len(adjacency) != len(vertices):
+    ids = {v.id for v in vertices}
+    if len(ids) != len(vertices):
         raise DomainError("vertex ids must be unique")
+    reached = {vertices[0].id}
     for a, b in tree.edges:
-        if a not in adjacency or b not in adjacency:
+        if a not in ids or b not in ids:
             raise DomainError(f"edge ({a},{b}) references a missing vertex")
-        adjacency[a].append(b)
-        adjacency[b].append(a)
+        if a in reached:
+            reached.add(b)
+        elif b in reached:
+            reached.add(a)
     seen: set[int] = set()
     marked = 0
     for v in vertices:
@@ -194,15 +201,24 @@ def _check_tree(tree: MarkedTree) -> dict[int, list[int]]:
             marked += len(c.markings)
     if len(seen) != marked:
         raise DomainError("marking assigned to more than one class")
-    root = vertices[0].id
-    stack, reached = [root], {root}
-    while stack:
-        for u in adjacency[stack.pop()]:
-            if u not in reached:
-                reached.add(u)
-                stack.append(u)
-    if len(reached) != len(adjacency):
-        raise DomainError("the dual graph must be connected")
+    if len(reached) != len(ids):
+        adjacency = _adjacency(tree)
+        stack = list(reached)
+        while stack:
+            for u in adjacency[stack.pop()]:
+                if u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        if len(reached) != len(ids):
+            raise DomainError("the dual graph must be connected")
+
+
+def _adjacency(tree: MarkedTree) -> dict[int, list[int]]:
+    """Each vertex id's neighbours, one entry per edge end."""
+    adjacency: dict[int, list[int]] = {v.id: [] for v in tree.vertices}
+    for a, b in tree.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
     return adjacency
 
 
@@ -221,7 +237,7 @@ def canonical_key(tree: MarkedTree):
     return _rooted_key(next(v.id for v in tree.vertices
                             if any(lowest in c.markings for c in v.classes)),
                        None, {v.id: v for v in tree.vertices},
-                       _check_tree(tree))
+                       _adjacency(tree))
 
 
 def _rooted_key(vid, parent, by_id, adj):
@@ -516,8 +532,11 @@ def _stratum_keys(data: WeightData, max_codim: int):
     keeps a list of layers by exact cost per mask and role (see `_layer`),
     extended only as far as some caller's room reaches, so no partition is
     enumerated twice and a small `max_codim` builds only small layers; the
-    root layers, read once, stay out of it.  No genus-0 stratum lies deeper
-    than n - 3, so the cap is clamped there."""
+    root layers, read once, stay out of it.  Subtree keys are built only
+    for a block whose weight and whose complement's both exceed 1, at a
+    cost below its size: no stable tree holds any other (see `_layer`).
+    No genus-0 stratum lies deeper than n - 3, so the cap is clamped
+    there."""
     den = data.scaled[1]
     weight = [e + den for e in data.excess_table()]
     marks = [()]
@@ -546,7 +565,18 @@ def _layer(state, rest, role, cost):
     a class or subtree (role 1); or (role 2) the keys of the stable vertices
     on rest below an edge, which costs 1.  Role 2 reads all of role 1: its
     one subtree on all of rest reads role 2 at lower costs only, and makes
-    a vertex of log degree (0 - 2 + 2) * den + 0 = 0, which is dropped."""
+    a vertex of log degree (0 - 2 + 2) * den + 0 = 0, which is dropped.
+
+    A subtree's keys are asked for only where a stable tree can hold one.
+    The edge above a block splits the markings into the block and its
+    complement, and each side sums above 1: summing (valence - 2) * den + w
+    over the V vertices on one side gives (2(V - 1) + 1 - 2V) * den +
+    weight(side) = weight(side) - den, and each term is positive.  And a
+    subtree on s markings with C classes over V vertices costs V edges
+    plus s - C; a vertex's c_v classes weigh at most c_v, so a positive
+    log degree needs c_v >= 3 - val_v, whence C >= 3V - (2V - 1) = V + 1
+    and the cost is at most s - 1.  The role-2 layers skipped would be
+    empty, so the keys are the same without them."""
     _, weight, marks, den = state
     if role == 2:
         return _vertex_keys(_forests(state, rest, 1, cost - 1), 1, den) \
@@ -564,8 +594,9 @@ def _layer(state, rest, role, cost):
             first, w = ((marks[block], False),), weight[block]
             for classes, kids, x in _forests(state, left, 1, cost - size):
                 found.append((first + classes, kids, w + x))
-        if role == 1:
-            for k in range(1, cost + 1):
+        if role == 1 and weight[block] > den and \
+                weight[-1] - weight[block] > den:
+            for k in range(1, min(cost, size) + 1):
                 keys = _forests(state, block, 2, k)
                 if keys:
                     more = _forests(state, left, 1, cost - k)
@@ -662,7 +693,8 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
     turns into the coincidence divisor of the pair when |I| = 2.
     """
     a, b = _reduction_pair(a, b, Mode.STRICT)
-    table, den = b.excess_table(), b.scaled[1]
+    (nums, den), table = b.scaled, b.excess_table()
+    zeros = sum(1 << m - 1 for m, x in nums.items() if not x)  # b_j = 0
     fates = []
     for mask, complement in _boundary(a):
         fate = _preserved(mask, complement)
@@ -680,11 +712,15 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
             fates.append(DivisorFate(divisor, DivisorStatus.BECOMES_COINCIDENCE,
                                      collapsed_side=side))
             continue
-        # valid for ZERO_ALLOWED without `validate`: each b_j comes from
-        # the validated b, b_I = sum of b over the side lies in [0, 1] as the
-        # side is at or below its wall, and the total is sum(b) > 2 (genus 0)
-        factor = WeightData(0, tuple(b.weights[j - 1] for j in sorted(other))
-                            + (Fraction(table[side_mask] + den, den),))
+        # valid for ZERO_ALLOWED, so recorded without `validate`: each b_j
+        # comes from the validated b, b_I = sum of b over the side lies in
+        # [0, 1] as the side is at or below its wall, and the total is
+        # sum(b) > 2 (genus 0)
+        side_weight = table[side_mask] + den
+        factor = _record(
+            WeightData(0, tuple(b.weights[j - 1] for j in sorted(other))
+                       + (Fraction(side_weight, den),)),
+            Mode.ZERO_ALLOWED, side_weight > 0 and not zeros & other_mask)
         fates.append(DivisorFate(divisor, DivisorStatus.CONTRACTED,
                                  collapsed_side=side, factor_weights=factor))
     return tuple(fates)

@@ -754,6 +754,33 @@ def test_marked_tree_structural_errors(vertices, edges, message):
     assert str(info.value) == message
 
 
+VERTICES_1_TO_4 = [(v, 0, [[v]]) for v in range(1, 5)]
+
+
+def _hand_built(vertices, edges):
+    return curves.MarkedTree(
+        tuple(curves.Vertex(vid, genus, tuple(
+            curves.MarkClass(frozenset(c)) for c in classes))
+            for vid, genus, classes in vertices), tuple(edges))
+
+
+def test_connected_tree_missed_by_one_edge_pass():
+    """From vertex 1, one pass over (1,4), (2,3), (3,4) reaches 4 and 3 but
+    not 2, which the pass met before 3: the search over the adjacency
+    finds the tree connected."""
+    edges = [(1, 4), (2, 3), (3, 4)]
+    tree = ws.marked_tree(VERTICES_1_TO_4, edges)
+    assert tree == _hand_built(VERTICES_1_TO_4, edges)
+    assert tree.edges == tuple(edges)
+
+
+def test_disconnected_tree_missed_by_one_edge_pass():
+    for build in (ws.marked_tree, _hand_built):
+        with pytest.raises(DomainError) as info:
+            build(VERTICES_1_TO_4, [(1, 4), (2, 3)])
+        assert str(info.value) == "the dual graph must be connected"
+
+
 @pytest.mark.parametrize("vertices, edges", [
     ([(1, 0, [[1]]), (2, 0, [[2]]), (3, 0, [[3]])], [(1, 2), (2, 9)]),
     ([(1, 0, [[1]]), (1, 0, [[2]])], []),

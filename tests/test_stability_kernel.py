@@ -148,6 +148,12 @@ def test_enumerate_strata_matches_unpruned_search(n):
                 unpruned_strata(data, max_codim)
 
 
+# two points of open chambers at n = 7, every weight below 1: no subset
+# sums to exactly 1, one total just above 2 and one well above it
+OPEN_7 = [[F(x, 11) for x in (8, 6, 4, 2, 2, 2, 2)],
+          [F(x, 11) for x in (3, 9, 6, 3, 9, 4, 6)]]
+
+
 @st.composite
 def boundary_weights(draw):
     """STRICT weight data whose first k weights (k >= 2 unless 0) sum to
@@ -175,6 +181,8 @@ def boundary_weights(draw):
 @example(data=ws.validate(0, [1] * 7))
 @example(data=ws.validate(0, [1, 1] + [F(1, 5)] * 4))  # Losev-Manin
 @example(data=ws.validate(0, [1] + [F(1, 4)] * 5))  # Kapranov
+@example(data=ws.validate(0, OPEN_7[0]))
+@example(data=ws.validate(0, OPEN_7[1]))
 def test_stratum_keys_match_tuple_generator(data):
     """The bitmask generator against the tuple-based one at every codimension
     bound, and for n <= 6 the strata against the unpruned search, whose
@@ -246,6 +254,40 @@ def test_stratum_memo_keeps_one_partition_role(monkeypatch, weights):
     assert full not in reached
     assert built.pop(full) == {0}
     assert all(roles <= {1, 2} for roles in built.values())
+
+
+@pytest.mark.parametrize("weights", [[1] + [F(1, 4)] * 5,
+                                     [1, 1] + [F(1, 5)] * 5] + OPEN_7,
+                         ids=["kapranov-6", "losev-manin-7", "open-7-low",
+                              "open-7-high"])
+def test_subtree_layers_only_where_stable_trees_hold_them(monkeypatch,
+                                                          weights):
+    """A role-2 layer is built only for a block that weighs more than 1,
+    whose complement weighs more than 1, and at a cost below its size; the
+    keys are those of the tuple-based generator, which prunes nothing."""
+    data = ws.validate(0, weights)
+    nums, den = data.scaled
+    total = sum(nums.values())
+    built = []
+    layer = curves._layer
+
+    def spy_layer(state, rest, role, cost):
+        if role == 2:
+            built.append((rest, cost))
+        return layer(state, rest, role, cost)
+
+    monkeypatch.setattr(curves, "_layer", spy_layer)
+    keys = _stratum_keys(data, data.n - 3)
+    monkeypatch.undo()
+    assert keys == tuple_stratum_keys(nums, den, data.n - 3)
+    # Kapranov's space has no nodal divisor, so no block is ever a subtree
+    assert bool(built) == any(d.kind is ws.DivisorKind.NODAL
+                              for d in ws.boundary_divisors(data))
+    for rest, cost in built:
+        block = [m for m in nums if rest >> (m - 1) & 1]
+        weight = sum(nums[m] for m in block)
+        assert weight > den and total - weight > den, block
+        assert cost <= len(block) - 1, (block, cost)
 
 
 def test_boundary_weights_reach_both_bounds():
