@@ -39,8 +39,8 @@ from .errors import (DomainError, InternalInvariantError,
                      WeightsNotDominated)
 from .ratcore import rational
 from .weights import (Mode, WeightData, _boundary_masks, _check_limit,
-                      _field, _integer, _listed, _marks, _masks, _record,
-                      _valid, integer_scaled)
+                      _field, _integer, _listed, _marks, _masks, _valid,
+                      integer_scaled)
 
 WeightsLike = Union[WeightData, Mapping[int, Fraction]]
 
@@ -169,20 +169,20 @@ def marked_tree(vertices, edges=()) -> MarkedTree:
 def _check_tree(tree: MarkedTree) -> None:
     """The check every MarkedTree passes on construction.  In the order in
     which a failure is reported: some vertex, unique ids, edge ends in the
-    tree, integer genera >= 0, disjoint classes, connected.  One pass over
-    the edges checks their ends and grows the set reached from the first
-    vertex: an edge with one end reached adds the other.  Sorted edges of
-    a tree whose ids are in preorder, as `_tree_of_key` builds them, reach
-    every vertex in that pass; only when it misses one does a search over
-    the adjacency decide."""
-    vertices = tree.vertices
+    tree, integer genera >= 0, disjoint classes, connected.  Connectivity
+    grows the set reached from the first vertex in passes over the edges:
+    an edge with one end reached adds the other, and the passes stop once
+    every vertex is reached or a pass adds none.  The first pass is the one
+    that checks the edge ends.  Sorted edges of a tree whose ids are in
+    preorder, as `_tree_of_key` builds them, reach every vertex in it."""
+    vertices, edges = tree.vertices, tree.edges
     if not vertices:
         raise DomainError("a tree needs at least one vertex")
     ids = {v.id for v in vertices}
     if len(ids) != len(vertices):
         raise DomainError("vertex ids must be unique")
     reached = {vertices[0].id}
-    for a, b in tree.edges:
+    for a, b in edges:
         if a not in ids or b not in ids:
             raise DomainError(f"edge ({a},{b}) references a missing vertex")
         if a in reached:
@@ -201,16 +201,16 @@ def _check_tree(tree: MarkedTree) -> None:
             marked += len(c.markings)
     if len(seen) != marked:
         raise DomainError("marking assigned to more than one class")
+    size = 1
+    while size < len(reached) < len(ids):  # the last pass grew but missed some
+        size = len(reached)
+        for a, b in edges:
+            if a in reached:
+                reached.add(b)
+            elif b in reached:
+                reached.add(a)
     if len(reached) != len(ids):
-        adjacency = _adjacency(tree)
-        stack = list(reached)
-        while stack:
-            for u in adjacency[stack.pop()]:
-                if u not in reached:
-                    reached.add(u)
-                    stack.append(u)
-        if len(reached) != len(ids):
-            raise DomainError("the dual graph must be connected")
+        raise DomainError("the dual graph must be connected")
 
 
 def _adjacency(tree: MarkedTree) -> dict[int, list[int]]:
@@ -693,8 +693,7 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
     turns into the coincidence divisor of the pair when |I| = 2.
     """
     a, b = _reduction_pair(a, b, Mode.STRICT)
-    (nums, den), table = b.scaled, b.excess_table()
-    zeros = sum(1 << m - 1 for m, x in nums.items() if not x)  # b_j = 0
+    table, den = b.excess_table(), b.scaled[1]
     fates = []
     for mask, complement in _boundary(a):
         fate = _preserved(mask, complement)
@@ -712,15 +711,11 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
             fates.append(DivisorFate(divisor, DivisorStatus.BECOMES_COINCIDENCE,
                                      collapsed_side=side))
             continue
-        # valid for ZERO_ALLOWED, so recorded without `validate`: each b_j
-        # comes from the validated b, b_I = sum of b over the side lies in
-        # [0, 1] as the side is at or below its wall, and the total is
-        # sum(b) > 2 (genus 0)
-        side_weight = table[side_mask] + den
-        factor = _record(
-            WeightData(0, tuple(b.weights[j - 1] for j in sorted(other))
-                       + (Fraction(side_weight, den),)),
-            Mode.ZERO_ALLOWED, side_weight > 0 and not zeros & other_mask)
+        # valid for ZERO_ALLOWED without `validate`: each b_j comes from
+        # the validated b, b_I = sum of b over the side lies in [0, 1] as the
+        # side is at or below its wall, and the total is sum(b) > 2 (genus 0)
+        factor = WeightData(0, tuple(b.weights[j - 1] for j in sorted(other))
+                            + (Fraction(table[side_mask] + den, den),))
         fates.append(DivisorFate(divisor, DivisorStatus.CONTRACTED,
                                  collapsed_side=side, factor_weights=factor))
     return tuple(fates)

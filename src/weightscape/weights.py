@@ -170,16 +170,10 @@ def validate(genus, weights, mode: Mode = Mode.STRICT) -> WeightData:
         raise DegreeNotPositive(f"2g-2+sum(a) = {Fraction(degree, den)} <= 0")
     data = WeightData(genus, ws)
     data.__dict__["scaled"] = scaled  # what the cached property would give
-    return _record(data, mode, least > 0)
-
-
-def _record(data: WeightData, mode: Mode, zero_free: bool) -> WeightData:
-    """Record on `data`, whose weights lie in the domain of `mode` and have
-    no zero iff `zero_free`, every mode it satisfies, which `_valid`
-    trusts: a sum of 2 is no positive degree in genus 0, and STRICT is
-    ZERO_ALLOWED without zeros."""
+    # every mode the datum satisfies, which `_valid` trusts: a sum of 2 is
+    # no positive degree in genus 0, and STRICT is ZERO_ALLOWED without zeros
     data.__dict__["_modes"] = _NONZERO_MODES \
-        if zero_free and mode != Mode.BOUNDARY else frozenset({mode})
+        if least and mode != Mode.BOUNDARY else frozenset({mode})
     return data
 
 

@@ -766,8 +766,7 @@ def _hand_built(vertices, edges):
 
 def test_connected_tree_missed_by_one_edge_pass():
     """From vertex 1, one pass over (1,4), (2,3), (3,4) reaches 4 and 3 but
-    not 2, which the pass met before 3: the search over the adjacency
-    finds the tree connected."""
+    not 2, which the pass met before 3: a second pass reaches it."""
     edges = [(1, 4), (2, 3), (3, 4)]
     tree = ws.marked_tree(VERTICES_1_TO_4, edges)
     assert tree == _hand_built(VERTICES_1_TO_4, edges)

@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import weightscape as ws
 from weightscape import git, named, weights
@@ -175,40 +175,6 @@ def test_unrecorded_twin_gives_the_same_answers(inputs):
         git.chamber_matches_quotient(pre, lin)
 
 
-def _factors(a, b):
-    return [fate.factor_weights for fate in ws.contracted_divisors(a, b)
-            if fate.factor_weights is not None]
-
-
-# a contraction whose factor datum has no zero weight, and one whose has
-_NO_ZERO = (ws.validate(0, [1, 1, "1/3", "1/3", "1/2"]),
-            ws.validate(0, [1, 1, "1/4", "1/4", "1/4"], Z), [1], 0)
-_ZERO = (ws.validate(0, [1, 1, 1, "1/2", "1/2", "1/2"]),
-         ws.validate(0, [1, 1, "1/2", 0, 0, 0], Z), [1], 0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(query_inputs())
-@example(_NO_ZERO)
-@example(_ZERO)
-def test_factor_weights_carry_what_validate_records(inputs):
-    """Each factor datum of a contracted divisor carries the modes that
-    `validate` in ZERO_ALLOWED mode records for its weights: both nonzero
-    modes when no weight is zero, ZERO_ALLOWED alone otherwise."""
-    a, b, _, _ = inputs
-    for factor in _factors(a, b):
-        validated = ws.validate(0, factor.weights, Z)
-        assert factor.__dict__["_modes"] == validated.__dict__["_modes"]
-        assert factor.scaled == validated.scaled
-
-
-def test_factor_weights_examples_cover_both_records():
-    [strict] = _factors(*_NO_ZERO[:2])
-    assert strict.__dict__["_modes"] == {S, Z}
-    assert {factor.__dict__["_modes"] for factor in _factors(*_ZERO[:2])} \
-        == {frozenset({S, Z}), frozenset({Z})}
-
-
 # -- full validations, counted ----------------------------------------------
 
 @pytest.fixture
@@ -243,14 +209,6 @@ def test_validated_data_are_not_checked_again(validations):
     ws.locate(a, FINE)
     ws.boundary_divisors(also_strict)
     assert validations == []
-
-
-def test_factor_weights_are_not_checked_again(validations):
-    factors = _factors(*_NO_ZERO[:2])
-    validations.clear()
-    for factor in factors:
-        ws.locate(factor, FINE)
-    assert factors and validations == []
 
 
 def test_tau_fine_preimage_validates_what_it_builds(validations):
