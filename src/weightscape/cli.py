@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand maps to one library operation (or a documented
-composition, like `reduce`).  Payload flags accept inline JSON, a file
-path, or `-` for stdin.  Output is a flat table by default; `--json`
-prints the same payload as canonical JSON (sorted keys, compact, one
-trailing newline), byte-deterministic for identical inputs.
+`_COMMANDS` declares every subcommand once, in the README's order: its
+name, the library module it runs an operation of, its help text and
+flags, and its handler, which maps the parsed flags to one library
+operation (or a documented composition, like `reduce`).  `run` imports
+that module only for the subcommand it runs.  Payload flags accept inline
+JSON, a file path, or `-` for stdin.  Output is a flat table by default;
+`--json` prints the same payload as canonical JSON (sorted keys, compact,
+one trailing newline), byte-deterministic for identical inputs.
 
 Exit codes: 0 success, 1 input/domain error, 2 enumeration limit
 exceeded, 3 internal invariant breach.
@@ -13,6 +16,7 @@ exceeded, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
@@ -53,6 +57,10 @@ def _read_payload(raw: str) -> dict:
 
 def _weight_arg(raw: str, mode=weights.Mode.ZERO_ALLOWED) -> weights.WeightData:
     return weights.WeightData.from_json_dict(_read_payload(raw), mode)
+
+
+def _strict_arg(raw: str) -> weights.WeightData:
+    return _weight_arg(raw, weights.Mode.STRICT)
 
 
 def _keep_entry(text: str) -> int:
@@ -100,203 +108,193 @@ def _fate_dict(fate: curves.DivisorFate) -> dict:
     return entry
 
 
+def _tree_arg(raw: str, curves):
+    return curves.MarkedTree.from_json_dict(_read_payload(raw))
+
+
+def _lin_arg(raw: str, git):
+    return git.Linearization.from_json_dict(_read_payload(raw))
+
+
+def _validate(a, weights) -> dict:
+    data = _weight_arg(a.weights, weights.Mode(a.mode))
+    return {"valid": True, "mode": a.mode, **data.to_json_dict()}
+
+
+def _walls(a, weights) -> dict:
+    found = weights.walls(a.genus, a.n, weights.Granularity(a.granularity))
+    return {"genus": a.genus, "n": a.n, "granularity": a.granularity,
+            "count": len(found), "walls": [sorted(w.subset) for w in found]}
+
+
+def _chambers(a, weights) -> dict:
+    granularity = weights.Granularity(a.granularity)
+    chambers = weights.enumerate_chambers(a.genus, a.n, granularity,
+                                          limit=a.limit, cache_dir=a.cache_dir)
+    return weights.chambers_payload(a.genus, a.n, granularity, chambers)
+
+
+def _locate(a, weights) -> dict:
+    data = _weight_arg(a.weights)
+    granularity = weights.Granularity(a.granularity)
+    vec = weights.locate(data, granularity)
+    wall_list = weights.walls(data.genus, data.n, granularity)
+    return {"signs": vec.codes(),
+            "positions": [{"wall": sorted(w.subset), "position": p.value}
+                          for w, p in zip(wall_list, vec.positions)]}
+
+
+def _strata(a, curves) -> dict:
+    data = _strict_arg(a.weights)
+    strata = curves.enumerate_strata(data, a.max_codim, limit=a.limit)
+    return {"count": len(strata),
+            "strata": [{"codimension": s.codimension,
+                        "tree": s.tree.to_json_dict()} for s in strata]}
+
+
+def _boundary(a, curves) -> dict:
+    divisors = curves.boundary_divisors(_strict_arg(a.weights))
+    nodal = [d for d in divisors if d.kind == curves.DivisorKind.NODAL]
+    pairs = [d for d in divisors if d.kind == curves.DivisorKind.COINCIDENCE]
+    return {"nodal_count": len(nodal), "coincidence_count": len(pairs),
+            "divisors": [_divisor_dict(d) for d in divisors]}
+
+
+def _reduce(a, curves) -> dict:
+    data = _strict_arg(a.weights)
+    target = _weight_arg(a.target)
+    fates = curves.contracted_divisors(data, target)
+    return {"is_isomorphism": curves.is_reduction_iso(data, target),
+            "fates": [_fate_dict(f) for f in fates]}
+
+
+def _sstypes(a, git) -> dict:
+    lin = _lin_arg(a.linearization, git)
+    types = git.strictly_semistable_types(lin)
+    return {"typical": git.is_typical(lin), "count": len(types),
+            "types": [sorted(s) for s in types]}
+
+
+def _match_quotient(a, git) -> dict:
+    data = _strict_arg(a.weights)
+    match = git.chamber_matches_quotient(data, _lin_arg(a.linearization, git))
+    return {"matches": match.matches,
+            "mismatched_subsets": [sorted(s)
+                                   for s in match.mismatched_subsets],
+            "ambiguous_subsets": [sorted(s) for s in match.ambiguous_subsets]}
+
+
+def _named_weights(a, named) -> dict:
+    family = named.parse_tag(a.family, a.n)
+    return {"family": family.tag, **named.weights_for(family).to_json_dict()}
+
+
+def _blowup_seq(a, named) -> dict:
+    steps = named.blowup_sequence(named.FamilyKind(a.family), a.n)
+    return {"steps": [
+        {"source": s.source.tag, "target": s.target.tag,
+         "exceptional_count": s.exceptional_count,
+         "fates": [_fate_dict(f) for f in s.fates]} for s in steps]}
+
+
+def _required(flag, **kwargs):
+    return flag, {"required": True, **kwargs}
+
+
+WEIGHTS = _required("--weights", help="weight JSON, file path, or -")
+GRANULARITY = ("--granularity", {"default": "fine",
+                                 "choices": ["coarse", "fine"]})
+GENUS, N = _required("--genus", type=int), _required("--n", type=int)
+LIMIT = ("--limit", {"type": int, "default": None})
+TREE, TARGET = _required("--tree"), _required("--target")
+LINEARIZATION = _required("--linearization")
+
+# name: (module the handler calls, help text, flags, handler); a handler
+# takes the parsed flags and that module and returns the output payload
+_COMMANDS = {
+    "validate": ("weights", "check weight data against a mode",
+                 [WEIGHTS, ("--mode", {"default": "strict", "choices":
+                                       ["strict", "zero", "boundary"]})],
+                 _validate),
+    "walls": ("weights", "list the nonempty walls", [GENUS, N, GRANULARITY],
+              _walls),
+    "chambers": ("weights", "enumerate the open chambers",
+                 [GENUS, N, GRANULARITY, LIMIT,
+                  ("--cache-dir", {"default": None})], _chambers),
+    "locate": ("weights", "position of weight data against every wall",
+               [WEIGHTS, GRANULARITY], _locate),
+    "perturb": ("weights", "shift into an open fine chamber", [WEIGHTS],
+                lambda a, m: m.perturb_to_fine_chamber(
+                    _strict_arg(a.weights)).to_json_dict()),
+    "ucurve": ("weights", "append the universal-curve weight", [WEIGHTS],
+               lambda a, m: m.universal_curve_weight(
+                   _strict_arg(a.weights)).to_json_dict()),
+    "stabilize": ("curves", "contract a tree to the reduced weights",
+                  [WEIGHTS, TREE, TARGET],
+                  lambda a, m: m.stabilize(
+                      _tree_arg(a.tree, m), _weight_arg(a.weights),
+                      _weight_arg(a.target)).to_json_dict()),
+    "forget": ("curves", "drop markings and restabilize",
+               [WEIGHTS, TREE, _required("--keep",
+                                         help="comma-separated indices")],
+               lambda a, m: m.forget(
+                   _tree_arg(a.tree, m), _weight_arg(a.weights),
+                   [_keep_entry(v) for v in a.keep.split(",") if v.strip()]
+               ).to_json_dict()),
+    "strata": ("curves", "enumerate stable trees up to a codimension",
+               [WEIGHTS, _required("--max-codim", type=int), LIMIT], _strata),
+    "boundary": ("curves", "boundary divisors of the weight data", [WEIGHTS],
+                 _boundary),
+    "reduce": ("curves", "classify divisors under a reduction",
+               [WEIGHTS, TARGET], _reduce),
+    "git-stability": ("git", "GIT verdict of a configuration",
+                      [_required("--config"), LINEARIZATION],
+                      lambda a, m: {"verdict": m.stability(
+                          m.ConfigType.from_json_dict(_read_payload(a.config)),
+                          _lin_arg(a.linearization, m)).value}),
+    "git-sstypes": ("git", "strictly semistable types", [LINEARIZATION],
+                    _sstypes),
+    "tau": ("git", "normalize weights onto the boundary", [WEIGHTS],
+            lambda a, m: m.tau(_strict_arg(a.weights)).to_json_dict()),
+    "match-quotient": ("git", "compare a chamber with a GIT quotient",
+                       [WEIGHTS, LINEARIZATION], _match_quotient),
+    "lc-kapranov": ("logcanon", "Kapranov-tower discrepancy ledger",
+                    [N, _required("--k", type=int), _required("--alpha")],
+                    lambda a, m: {
+                        **m.kapranov_ledger(a.n, a.k, a.alpha).to_json_dict(),
+                        "ample_lc_range":
+                            m.kapranov_ample_lc_range(a.n).to_json_dict()}),
+    "lc-keel": ("logcanon", "Keel-tower discrepancy ledger",
+                [N, _required("--alpha"), _required("--beta")],
+                lambda a, m: m.keel_ledger(a.n, a.alpha,
+                                           a.beta).to_json_dict()),
+    "remark76": ("logcanon", "bundled n=6 cross-checks", [],
+                 lambda a, m: m.remark76_check().to_json_dict()),
+    "named-classify": ("named", "match weight data against the named regions",
+                       [WEIGHTS],
+                       lambda a, m: {"families": [f.tag for f in m.classify(
+                           _strict_arg(a.weights))]}),
+    "named-weights": ("named", "canonical weights of a named family",
+                      [_required("--family", help="tag like X(1), W(1,2), LM"),
+                       N], _named_weights),
+    "blowup-seq": ("named", "blow-up chain inventory",
+                   [_required("--family", choices=["W", "X", "Y"]), N],
+                   _blowup_seq),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="weightscape",
                      description="exact combinatorics of weighted pointed "
                                  "stable curves")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, help_text, *flags):
+    for name, (_, help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true",
                        help="canonical JSON output")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        return p
-
-    wflag = ("--weights", {"required": True,
-                           "help": "weight JSON, file path, or -"})
-    gran = ("--granularity", {"default": "fine", "choices": ["coarse", "fine"]})
-
-    add("validate", "check weight data against a mode", wflag,
-        ("--mode", {"default": "strict",
-                    "choices": ["strict", "zero", "boundary"]}))
-    add("walls", "list the nonempty walls",
-        ("--genus", {"type": int, "required": True}),
-        ("--n", {"type": int, "required": True}), gran)
-    add("chambers", "enumerate the open chambers",
-        ("--genus", {"type": int, "required": True}),
-        ("--n", {"type": int, "required": True}), gran,
-        ("--limit", {"type": int, "default": None}),
-        ("--cache-dir", {"default": None}))
-    add("locate", "position of weight data against every wall", wflag, gran)
-    add("perturb", "shift into an open fine chamber", wflag)
-    add("ucurve", "append the universal-curve weight", wflag)
-    add("stabilize", "contract a tree to the reduced weights", wflag,
-        ("--tree", {"required": True}), ("--target", {"required": True}))
-    add("forget", "drop markings and restabilize", wflag,
-        ("--tree", {"required": True}),
-        ("--keep", {"required": True, "help": "comma-separated indices"}))
-    add("strata", "enumerate stable trees up to a codimension", wflag,
-        ("--max-codim", {"type": int, "required": True}),
-        ("--limit", {"type": int, "default": None}))
-    add("boundary", "boundary divisors of the weight data", wflag)
-    add("reduce", "classify divisors under a reduction", wflag,
-        ("--target", {"required": True}))
-    add("git-stability", "GIT verdict of a configuration",
-        ("--config", {"required": True}),
-        ("--linearization", {"required": True}))
-    add("git-sstypes", "strictly semistable types",
-        ("--linearization", {"required": True}))
-    add("tau", "normalize weights onto the boundary", wflag)
-    add("match-quotient", "compare a chamber with a GIT quotient", wflag,
-        ("--linearization", {"required": True}))
-    add("lc-kapranov", "Kapranov-tower discrepancy ledger",
-        ("--n", {"type": int, "required": True}),
-        ("--k", {"type": int, "required": True}),
-        ("--alpha", {"required": True}))
-    add("lc-keel", "Keel-tower discrepancy ledger",
-        ("--n", {"type": int, "required": True}),
-        ("--alpha", {"required": True}), ("--beta", {"required": True}))
-    add("remark76", "bundled n=6 cross-checks")
-    add("named-classify", "match weight data against the named regions",
-        wflag)
-    add("named-weights", "canonical weights of a named family",
-        ("--family", {"required": True, "help": 'tag like X(1), W(1,2), LM'}),
-        ("--n", {"type": int, "required": True}))
-    add("blowup-seq", "blow-up chain inventory",
-        ("--family", {"required": True, "choices": ["W", "X", "Y"]}),
-        ("--n", {"type": int, "required": True}))
     return parser
-
-
-def _dispatch(args) -> dict:
-    cmd = args.command
-    if cmd == "validate":
-        data = _weight_arg(args.weights, weights.Mode(args.mode))
-        return {"valid": True, "mode": args.mode, **data.to_json_dict()}
-    if cmd == "walls":
-        found = weights.walls(args.genus, args.n,
-                              weights.Granularity(args.granularity))
-        return {"genus": args.genus, "n": args.n,
-                "granularity": args.granularity,
-                "count": len(found),
-                "walls": [sorted(w.subset) for w in found]}
-    if cmd == "chambers":
-        granularity = weights.Granularity(args.granularity)
-        chambers = weights.enumerate_chambers(
-            args.genus, args.n, granularity,
-            limit=args.limit, cache_dir=args.cache_dir)
-        return weights.chambers_payload(args.genus, args.n, granularity,
-                                        chambers)
-    if cmd == "locate":
-        data = _weight_arg(args.weights)
-        granularity = weights.Granularity(args.granularity)
-        vec = weights.locate(data, granularity)
-        wall_list = weights.walls(data.genus, data.n, granularity)
-        return {"signs": vec.codes(),
-                "positions": [{"wall": sorted(w.subset), "position": p.value}
-                              for w, p in zip(wall_list, vec.positions)]}
-    if cmd == "perturb":
-        data = _weight_arg(args.weights, weights.Mode.STRICT)
-        return weights.perturb_to_fine_chamber(data).to_json_dict()
-    if cmd == "ucurve":
-        data = _weight_arg(args.weights, weights.Mode.STRICT)
-        return weights.universal_curve_weight(data).to_json_dict()
-    if cmd == "stabilize":
-        from . import curves
-        tree = curves.MarkedTree.from_json_dict(_read_payload(args.tree))
-        a = _weight_arg(args.weights)
-        b = _weight_arg(args.target)
-        return curves.stabilize(tree, a, b).to_json_dict()
-    if cmd == "forget":
-        from . import curves
-        tree = curves.MarkedTree.from_json_dict(_read_payload(args.tree))
-        a = _weight_arg(args.weights)
-        keep = [_keep_entry(v) for v in args.keep.split(",") if v.strip()]
-        return curves.forget(tree, a, keep).to_json_dict()
-    if cmd == "strata":
-        from . import curves
-        data = _weight_arg(args.weights, weights.Mode.STRICT)
-        strata = curves.enumerate_strata(data, args.max_codim,
-                                         limit=args.limit)
-        return {"count": len(strata),
-                "strata": [{"codimension": s.codimension,
-                            "tree": s.tree.to_json_dict()} for s in strata]}
-    if cmd == "boundary":
-        from . import curves
-        data = _weight_arg(args.weights, weights.Mode.STRICT)
-        divisors = curves.boundary_divisors(data)
-        nodal = [d for d in divisors if d.kind == curves.DivisorKind.NODAL]
-        pairs = [d for d in divisors if d.kind == curves.DivisorKind.COINCIDENCE]
-        return {"nodal_count": len(nodal), "coincidence_count": len(pairs),
-                "divisors": [_divisor_dict(d) for d in divisors]}
-    if cmd == "reduce":
-        from . import curves
-        a = _weight_arg(args.weights, weights.Mode.STRICT)
-        b = _weight_arg(args.target)
-        fates = curves.contracted_divisors(a, b)
-        return {"is_isomorphism": curves.is_reduction_iso(a, b),
-                "fates": [_fate_dict(f) for f in fates]}
-    if cmd == "git-stability":
-        from . import git
-        config = git.ConfigType.from_json_dict(_read_payload(args.config))
-        lin = git.Linearization.from_json_dict(
-            _read_payload(args.linearization))
-        return {"verdict": git.stability(config, lin).value}
-    if cmd == "git-sstypes":
-        from . import git
-        lin = git.Linearization.from_json_dict(
-            _read_payload(args.linearization))
-        types = git.strictly_semistable_types(lin)
-        return {"typical": git.is_typical(lin), "count": len(types),
-                "types": [sorted(s) for s in types]}
-    if cmd == "tau":
-        from . import git
-        data = _weight_arg(args.weights, weights.Mode.STRICT)
-        return git.tau(data).to_json_dict()
-    if cmd == "match-quotient":
-        from . import git
-        data = _weight_arg(args.weights, weights.Mode.STRICT)
-        lin = git.Linearization.from_json_dict(
-            _read_payload(args.linearization))
-        match = git.chamber_matches_quotient(data, lin)
-        return {"matches": match.matches,
-                "mismatched_subsets": [sorted(s)
-                                       for s in match.mismatched_subsets],
-                "ambiguous_subsets": [sorted(s)
-                                      for s in match.ambiguous_subsets]}
-    if cmd == "lc-kapranov":
-        from . import logcanon
-        ledger = logcanon.kapranov_ledger(args.n, args.k, args.alpha)
-        payload = ledger.to_json_dict()
-        payload["ample_lc_range"] = \
-            logcanon.kapranov_ample_lc_range(args.n).to_json_dict()
-        return payload
-    if cmd == "lc-keel":
-        from . import logcanon
-        return logcanon.keel_ledger(args.n, args.alpha,
-                                    args.beta).to_json_dict()
-    if cmd == "remark76":
-        from . import logcanon
-        return logcanon.remark76_check().to_json_dict()
-    if cmd == "named-classify":
-        from . import named
-        data = _weight_arg(args.weights, weights.Mode.STRICT)
-        return {"families": [f.tag for f in named.classify(data)]}
-    if cmd == "named-weights":
-        from . import named
-        family = named.parse_tag(args.family, args.n)
-        return {"family": family.tag,
-                **named.weights_for(family).to_json_dict()}
-    if cmd == "blowup-seq":
-        from . import named
-        steps = named.blowup_sequence(named.FamilyKind(args.family), args.n)
-        return {"steps": [
-            {"source": s.source.tag, "target": s.target.tag,
-             "exceptional_count": s.exceptional_count,
-             "fates": [_fate_dict(f) for f in s.fates]} for s in steps]}
-    raise DomainError(f"unknown subcommand {cmd!r}")
 
 
 def run(argv=None, out=None, err=None) -> int:
@@ -308,8 +306,9 @@ def run(argv=None, out=None, err=None) -> int:
         if args.command is None:
             parser.print_usage(err)
             return 1
-        payload = _dispatch(args)
-        _emit(payload, args.json, out)
+        home, _, _, handler = _COMMANDS[args.command]
+        module = importlib.import_module(f".{home}", __package__)
+        _emit(handler(args, module), args.json, out)
         return 0
     except _UsageError as exc:
         err.write(f"error: {exc}\n")
@@ -320,7 +319,7 @@ def run(argv=None, out=None, err=None) -> int:
     except (InternalInvariantError, KeyError) as exc:
         err.write(f"internal invariant breach: {exc}\n")
         return 3
-    except (DomainError, WeightscapeError, OSError) as exc:
+    except (WeightscapeError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1
 

@@ -148,7 +148,8 @@ def tau_fine_preimage(lin: Linearization) -> WeightData:
     scale = Fraction(2 * den + e, 2 * (den + e))
     data = validate(0, tuple(scale * t for t in lin.t), Mode.STRICT)
     if Position.ON in _positions(data, Granularity.FINE):
-        raise InternalInvariantError("scaled weights landed on a fine wall")
+        raise InternalInvariantError(f"scaled weights of {lin.to_json_dict()}"
+                                     " landed on a fine wall")
     return data
 
 

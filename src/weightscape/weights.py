@@ -328,12 +328,6 @@ def same_chamber(a: WeightData, b: WeightData, granularity: Granularity) -> bool
     return loc_a == loc_b
 
 
-def _chamber_cache_path(cache_dir: str, genus: int, n: int,
-                        granularity: Granularity) -> str:
-    name = f"chambers-g{genus}-n{n}-{granularity.value}.json"
-    return os.path.join(cache_dir, name)
-
-
 def chambers_payload(genus: int, n: int, granularity: Granularity,
                      chambers: tuple[Chamber, ...]) -> dict:
     """The JSON object of a chamber list, as `chambers_json` dumps it."""
@@ -353,12 +347,12 @@ def chambers_payload(genus: int, n: int, granularity: Granularity,
 
 def _cached_chambers(path: str, genus: int, n: int,
                      granularity: Granularity) -> Optional[tuple[Chamber, ...]]:
-    """The chambers stored in a cache file, or None when it is unreadable or
-    fails a check.  The header and wall list must match; each representative
-    must be a list of n canonical `rat_str` weights inside the domain whose
-    own sign string, free of ON, is the stored one; the sign strings must
-    increase strictly, as the search emits them.  Each distinct weight
-    string is parsed once."""
+    """The chambers stored in a cache file, or None when it is missing,
+    cannot be read or fails a check.  The header and wall list must match;
+    each representative must be a list of n canonical `rat_str` weights
+    inside the domain whose own sign string, free of ON, is the stored one;
+    the sign strings must increase strictly, as the search emits them.
+    Each distinct weight string is parsed once."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.loads(fh.read())
@@ -397,7 +391,7 @@ def _cached_chambers(path: str, genus: int, n: int,
             out.append(Chamber(vec, rep))
             last = signs
         return tuple(out)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError,
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
             RecursionError):
         return None
 
@@ -416,23 +410,25 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
                        limit: Optional[int] = None,
                        cache_dir: Optional[str] = None) -> tuple[Chamber, ...]:
     """Every feasible On-free sign vector over the wall set, each with an
-    interior representative; deterministic depth-first order.
+    interior representative, in increasing sign-string order, `A` before
+    `B`.
 
     Results are cached as one JSON file per (genus, n, granularity) under
     `cache_dir` (or $WEIGHTSCAPE_CACHE).  A file is served only when it
-    passes every check of `_cached_chambers`, and is recomputed and
-    overwritten otherwise; cache hits are byte-identical to recomputation.
+    can be read and passes every check of `_cached_chambers`, and is
+    recomputed and overwritten otherwise; cache hits are byte-identical to
+    recomputation.
     """
     _check_wall_args(genus, n, granularity)
     _check_limit(n, limit)
     cache_dir = cache_dir or os.environ.get(CACHE_ENV_VAR)
     if cache_dir:
-        path = _chamber_cache_path(cache_dir, genus, n, granularity)
-        if os.path.exists(path):
-            cached = _cached_chambers(path, genus, n, granularity)
-            if cached is not None:
-                return cached
-            # unreadable or stale cache entry: recompute and overwrite
+        path = os.path.join(
+            cache_dir, f"chambers-g{genus}-n{n}-{granularity.value}.json")
+        cached = _cached_chambers(path, genus, n, granularity)
+        if cached is not None:
+            return cached
+        # missing, unreadable or stale entry: recompute and overwrite
 
     masks = _wall_masks(genus, n, granularity)
     # integer solver rows (coeffs, bound), each coeffs . a < bound, for the
@@ -535,7 +531,8 @@ def perturb_to_fine_chamber(data: WeightData) -> WeightData:
     shifted = validate(data.genus, tuple(w - step for w in data.weights),
                        Mode.STRICT)
     if Position.ON in _positions(shifted, Granularity.FINE):
-        raise InternalInvariantError("perturbation landed on a wall")
+        raise InternalInvariantError(
+            f"perturbation of {data.to_json_dict()} landed on a wall")
     return shifted
 
 

@@ -848,6 +848,20 @@ def tamper_chamber_cache(payload, kind):
     return payload
 
 
+def refuse_cache_read(monkeypatch, path, error):
+    """Make `weights` raise `error` on opening the cache entry `path` to
+    read it, as for an entry without read permission or one removed
+    between two steps; its writes still go through."""
+    from weightscape import weights
+
+    def guarded_open(file, mode="r", *args, **kwargs):
+        if str(file) == str(path) and "r" in mode:
+            raise error(f"cannot open {file}")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(weights, "open", guarded_open, raising=False)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

@@ -14,7 +14,7 @@ import pytest
 import weightscape
 from weightscape.cli import _build_parser, run
 
-from conftest import CACHE_TAMPERS, tamper_chamber_cache
+from conftest import CACHE_TAMPERS, refuse_cache_read, tamper_chamber_cache
 
 
 def invoke(argv):
@@ -41,6 +41,36 @@ TREE4 = json.dumps({
     ],
     "edges": [[1, 2]],
 })
+THIRD6 = json.dumps({"t": ["1/3"] * 6})
+LM5 = '{"genus":0,"weights":["1","1","1/3","1/3","1/3"]}'
+# one call per subcommand, in the README's order
+CLI_CALLS = {
+    "validate": ["validate", "--weights", W4],
+    "walls": ["walls", "--genus", "0", "--n", "5"],
+    "chambers": ["chambers", "--genus", "0", "--n", "4"],
+    "locate": ["locate", "--weights", W5],
+    "perturb": ["perturb", "--weights", LM5],
+    "ucurve": ["ucurve", "--weights", W4],
+    "stabilize": ["stabilize", "--weights", W4, "--target", LM4,
+                  "--tree", TREE4],
+    "forget": ["forget", "--weights", W4, "--tree", TREE4, "--keep", "1,2,3"],
+    "strata": ["strata", "--weights", W5, "--max-codim", "2"],
+    "boundary": ["boundary", "--weights", LM4],
+    "reduce": ["reduce", "--weights", W5, "--target", LM5],
+    "git-stability": ["git-stability", "--linearization", THIRD6, "--config",
+                      '{"classes":[[1,2,3],[4],[5],[6]]}'],
+    "git-sstypes": ["git-sstypes", "--linearization", THIRD6],
+    "tau": ["tau", "--weights",
+            '{"genus":0,"weights":["1/2","1/2","1/2","1/2","1/2"]}'],
+    "match-quotient": ["match-quotient", "--weights", W5, "--linearization",
+                       json.dumps({"t": ["2/5"] * 5})],
+    "lc-kapranov": ["lc-kapranov", "--n", "6", "--k", "1", "--alpha", "1/2"],
+    "lc-keel": ["lc-keel", "--n", "6", "--alpha", "1/3", "--beta", "2/3"],
+    "remark76": ["remark76"],
+    "named-classify": ["named-classify", "--weights", LM5],
+    "named-weights": ["named-weights", "--family", "W(1,2)", "--n", "6"],
+    "blowup-seq": ["blowup-seq", "--family", "X", "--n", "6"],
+}
 
 
 def test_validate():
@@ -218,8 +248,23 @@ LAZY = {"weightscape.curves", "weightscape.git", "weightscape.logcanon",
      {"weightscape.curves"}),
     (["forget", "--weights", W4, "--tree", TREE4, "--keep", "1,2,3"],
      {"weightscape.curves"}),
+    (CLI_CALLS["perturb"], set()),
+    (CLI_CALLS["ucurve"], set()),
+    (CLI_CALLS["git-stability"], {"weightscape.git"}),
+    (CLI_CALLS["git-sstypes"], {"weightscape.git"}),
+    (CLI_CALLS["tau"], {"weightscape.git"}),
+    (CLI_CALLS["match-quotient"], {"weightscape.git"}),
+    (CLI_CALLS["lc-kapranov"], {"weightscape.logcanon"}),
+    (CLI_CALLS["lc-keel"], {"weightscape.logcanon"}),
+    (CLI_CALLS["named-classify"], {"weightscape.named", "weightscape.curves"}),
+    (CLI_CALLS["named-weights"], {"weightscape.named", "weightscape.curves"}),
+    (CLI_CALLS["blowup-seq"], {"weightscape.named", "weightscape.curves"}),
+    (CLI_CALLS["remark76"], LAZY),
 ], ids=["walls", "validate", "locate", "chambers-cold", "chambers-cache-hit",
-        "strata", "boundary", "reduce", "stabilize", "forget"])
+        "strata", "boundary", "reduce", "stabilize", "forget", "perturb",
+        "ucurve", "git-stability", "git-sstypes", "tau", "match-quotient",
+        "lc-kapranov", "lc-keel", "named-classify", "named-weights",
+        "blowup-seq", "remark76"])
 def test_subcommand_loads_only_the_modules_it_uses(tmp_path, argv, loads):
     # a fresh process runs one subcommand, then lists the package modules
     # it loaded: curves, git, logcanon and named only where the call uses
@@ -348,6 +393,17 @@ def test_chambers_tampered_cache(tmp_path, kind):
     path = tmp_path / "chambers-g0-n4-fine.json"
     path.write_text(json.dumps(tamper_chamber_cache(json.loads(cold[1]),
                                                     kind)))
+    assert invoke(argv + ["--cache-dir", str(tmp_path)]) == cold
+    assert cold[0] == 0 and path.read_text() == cold[1]
+
+
+@pytest.mark.parametrize("error", [PermissionError, FileNotFoundError])
+def test_chambers_unreadable_cache_entry(tmp_path, monkeypatch, error):
+    argv = ["chambers", "--genus", "0", "--n", "4", "--json"]
+    cold = invoke(argv)
+    path = tmp_path / "chambers-g0-n4-fine.json"
+    path.write_text("{not json")
+    refuse_cache_read(monkeypatch, path, error)
     assert invoke(argv + ["--cache-dir", str(tmp_path)]) == cold
     assert cold[0] == 0 and path.read_text() == cold[1]
 
@@ -504,3 +560,78 @@ def test_strata_json_golden_bytes(weights, max_codim):
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
     assert digest == GOLDEN_STRATA[weights, max_codim]
+
+
+# each call with and without --json, then one call per failing exit code
+GOLDEN_CLI_CALLS = {
+    **CLI_CALLS,
+    **{f"{name} --json": argv + ["--json"] for name, argv in CLI_CALLS.items()},
+    "domain error": ["validate", "--weights",
+                     '{"genus":0,"weights":["1/2","1/2","1/2","1/2"]}'],
+    "usage error": ["locate"],
+    "limit": ["chambers", "--genus", "0", "--n", "9"],
+    "no subcommand": [],
+}
+# (exit code, stdout, stderr) of each call, each stream as the first 16 hex
+# digits of its sha256: subcommand output and exit codes stay byte for
+# byte what they are
+GOLDEN_CLI = {
+    "validate": (0, "ebe161d65c01f55f", "e3b0c44298fc1c14"),
+    "walls": (0, "7c5cbc79a256b3cf", "e3b0c44298fc1c14"),
+    "chambers": (0, "b5f64adc9d1801ba", "e3b0c44298fc1c14"),
+    "locate": (0, "c1a1084460bfe7d3", "e3b0c44298fc1c14"),
+    "perturb": (0, "3d823e84153b2867", "e3b0c44298fc1c14"),
+    "ucurve": (0, "18697a86da99ccd8", "e3b0c44298fc1c14"),
+    "stabilize": (0, "d4deba5e1a948798", "e3b0c44298fc1c14"),
+    "forget": (0, "c5f57fe0215a18a2", "e3b0c44298fc1c14"),
+    "strata": (0, "16d9a5882e20dee1", "e3b0c44298fc1c14"),
+    "boundary": (0, "ed8a0671872a0b99", "e3b0c44298fc1c14"),
+    "reduce": (0, "be9e68ce4743e0a6", "e3b0c44298fc1c14"),
+    "git-stability": (0, "5e0ea671181b21d5", "e3b0c44298fc1c14"),
+    "git-sstypes": (0, "37e870a8982ab31f", "e3b0c44298fc1c14"),
+    "tau": (0, "fb3174c880f640da", "e3b0c44298fc1c14"),
+    "match-quotient": (0, "670664e6ed3cfecb", "e3b0c44298fc1c14"),
+    "lc-kapranov": (0, "3969046e6fc9f1af", "e3b0c44298fc1c14"),
+    "lc-keel": (0, "fcd96f2fd225a574", "e3b0c44298fc1c14"),
+    "remark76": (0, "9b67e056eab48d71", "e3b0c44298fc1c14"),
+    "named-classify": (0, "19f56f197b9a8f4e", "e3b0c44298fc1c14"),
+    "named-weights": (0, "d50af2f8f014b48f", "e3b0c44298fc1c14"),
+    "blowup-seq": (0, "f13b9dc5f243832d", "e3b0c44298fc1c14"),
+    "validate --json": (0, "c206c3a62f11bdc5", "e3b0c44298fc1c14"),
+    "walls --json": (0, "21adee9607c49421", "e3b0c44298fc1c14"),
+    "chambers --json": (0, "827e38088af63e25", "e3b0c44298fc1c14"),
+    "locate --json": (0, "67c11fe6091e4610", "e3b0c44298fc1c14"),
+    "perturb --json": (0, "17dac127ef063dc9", "e3b0c44298fc1c14"),
+    "ucurve --json": (0, "dd3cc972d7d0c460", "e3b0c44298fc1c14"),
+    "stabilize --json": (0, "e394e146c83f74e1", "e3b0c44298fc1c14"),
+    "forget --json": (0, "06b1c15b8c9a0a34", "e3b0c44298fc1c14"),
+    "strata --json": (0, "93afa7c79630613c", "e3b0c44298fc1c14"),
+    "boundary --json": (0, "9e67492a65014fdb", "e3b0c44298fc1c14"),
+    "reduce --json": (0, "ade45348a7903568", "e3b0c44298fc1c14"),
+    "git-stability --json": (0, "faba93882ef6c798", "e3b0c44298fc1c14"),
+    "git-sstypes --json": (0, "30c89f25b35cba24", "e3b0c44298fc1c14"),
+    "tau --json": (0, "e8c6da2bc3a0b5e1", "e3b0c44298fc1c14"),
+    "match-quotient --json": (0, "0834df631a15e535", "e3b0c44298fc1c14"),
+    "lc-kapranov --json": (0, "afa49d4fca213b2e", "e3b0c44298fc1c14"),
+    "lc-keel --json": (0, "9af6509eda6acc86", "e3b0c44298fc1c14"),
+    "remark76 --json": (0, "83b8734e77be32da", "e3b0c44298fc1c14"),
+    "named-classify --json": (0, "393e53d932893c0d", "e3b0c44298fc1c14"),
+    "named-weights --json": (0, "2169828aa3d3946d", "e3b0c44298fc1c14"),
+    "blowup-seq --json": (0, "e96da3fa3e7f57a6", "e3b0c44298fc1c14"),
+    "domain error": (1, "e3b0c44298fc1c14", "7ee2e4cdc4b95c8d"),
+    "usage error": (1, "e3b0c44298fc1c14", "04cc5fed637d8f10"),
+    "limit": (2, "e3b0c44298fc1c14", "421cadf7776561d6"),
+    "no subcommand": (1, "e3b0c44298fc1c14", "ad97830ee0c52a83"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI_CALLS))
+def test_cli_golden_bytes(monkeypatch, capsys, name):
+    # the process streams, so the usage line of a usage error counts too
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    monkeypatch.delenv("WEIGHTSCAPE_CACHE", raising=False)
+    code = run(GOLDEN_CLI_CALLS[name])
+    out, err = capsys.readouterr()
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()[:16]
+                    for text in (out, err))
+    assert (code, *digests) == GOLDEN_CLI[name]

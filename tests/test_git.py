@@ -5,7 +5,8 @@ import pytest
 
 import weightscape as ws
 from weightscape.errors import (AtypicalLinearization, DomainError,
-                                DomainViolation, WeightOutOfRange)
+                                DomainViolation, InternalInvariantError,
+                                WeightOutOfRange)
 from weightscape.git import GitVerdict
 
 from conftest import fraction_sum
@@ -195,6 +196,18 @@ class TestTauPreimage:
     def test_atypical_rejected(self):
         with pytest.raises(AtypicalLinearization):
             ws.tau_fine_preimage(lin(*[F(1, 3)] * 6))
+
+    def test_wall_breach_names_the_linearization(self, monkeypatch):
+        # an invariant breach carries the input that reproduces it
+        from weightscape import git
+        from weightscape.weights import Position
+        t = lin(F(2, 5), F(2, 5), F(2, 5), F(2, 5), F(2, 5))
+        monkeypatch.setattr(git, "_positions",
+                            lambda data, granularity: (Position.ON,))
+        with pytest.raises(InternalInvariantError,
+                           match="landed on a fine wall") as info:
+            ws.tau_fine_preimage(t)
+        assert str(t.to_json_dict()) in str(info.value)
 
 
 class TestChamberMatchesQuotient:

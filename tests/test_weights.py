@@ -14,7 +14,7 @@ from weightscape.weights import (Granularity, Mode, Position, chambers_json,
                                  integer_scaled)
 
 from conftest import (CACHE_TAMPERS, fraction_sum, fraction_validate,
-                      tamper_chamber_cache)
+                      refuse_cache_read, tamper_chamber_cache)
 
 F = Fraction
 FINE = Granularity.FINE
@@ -483,6 +483,19 @@ def test_tampered_cache_recomputed(tmp_path, kind):
     assert path.read_text() == text
 
 
+@pytest.mark.parametrize("error", [PermissionError, FileNotFoundError])
+def test_unreadable_cache_entry_recomputed(tmp_path, monkeypatch, error):
+    # an entry that cannot be opened is stale like a corrupt one: the
+    # chambers are recomputed and the entry is overwritten
+    cold = ws.enumerate_chambers(0, 4, FINE)
+    path = tmp_path / "chambers-g0-n4-fine.json"
+    path.write_text("{not json")
+    refuse_cache_read(monkeypatch, path, error)
+    assert ws.enumerate_chambers(0, 4, FINE, cache_dir=str(tmp_path)) == cold
+    assert path.read_text() == chambers_json(0, 4, FINE, cold)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_short_representative_recomputed(tmp_path):
     # coarse (0, 5) has no walls, so no sign string tells the length, and
     # these four weights lie in the domain
@@ -557,6 +570,18 @@ class TestPerturb:
         for wall, pos in zip(ws.walls(0, 5, FINE), vec.positions):
             expected = Position.BELOW if len(wall.subset) == 2 else Position.ABOVE
             assert pos == expected
+
+    def test_wall_breach_names_the_input(self, monkeypatch):
+        # an invariant breach carries the datum that reproduces it
+        from weightscape import weights
+        from weightscape.errors import InternalInvariantError
+        data = ws.validate(0, [F(1, 2)] * 5)
+        monkeypatch.setattr(weights, "_positions",
+                            lambda data, granularity: (Position.ON,))
+        with pytest.raises(InternalInvariantError,
+                           match="landed on a wall") as info:
+            ws.perturb_to_fine_chamber(data)
+        assert str(data.to_json_dict()) in str(info.value)
 
     def test_classical_stays_above(self):
         shifted = ws.perturb_to_fine_chamber(ws.validate(0, [1, 1, 1, 1]))
