@@ -26,10 +26,10 @@ from .errors import (DomainError, InternalInvariantError, LimitExceeded,
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the contract here is exit 1
+    # argparse exits 2 on usage errors; the contract here is exit 1, and
+    # `run` writes the usage line and the message to its `err` stream
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise _UsageError(f"{self.format_usage()}error: {message}\n")
 
 
 class _UsageError(Exception):
@@ -311,7 +311,7 @@ def run(argv=None, out=None, err=None) -> int:
         _emit(handler(args, module), args.json, out)
         return 0
     except _UsageError as exc:
-        err.write(f"error: {exc}\n")
+        err.write(str(exc))
         return 1
     except LimitExceeded as exc:
         err.write(f"limit exceeded: {exc}\n")

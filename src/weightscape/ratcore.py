@@ -19,7 +19,9 @@ the tightest such row (parallel rows are pruned by dominance only).
 `_extend` adds rows to stages: a row that tightens a stage meets that
 stage's opposite-sign rows, each pair once, and only those combinations
 and the rows free of the variable enter the next stage, so a search
-adding one row at a time pays for the new pairs only.
+adding one row at a time pays for the new pairs only.  When one side of a
+hyperplane is empty, the open solution set lies on the other side, so a
+search keeps the parent's stages for that side and adds no row.
 
 Interior points are reconstructed deterministically by back-substitution
 through the stages (`_scaled_point`), taking the midpoint of each open
@@ -87,7 +89,7 @@ def _extend(stages, rows):
     """
     extended = []
     for var, kept in stages:
-        fresh = {}
+        fresh = None
         down = []
         for row in rows:
             coeffs, bound = row
@@ -98,8 +100,7 @@ def _extend(stages, rows):
                     return None
                 continue
             scale = gcd(*coeffs)
-            common = gcd(scale, bound)
-            if common > 1:
+            if scale > 1 and (common := gcd(scale, bound)) > 1:
                 coeffs = tuple([c // common for c in coeffs])
                 bound //= common
                 scale //= common
@@ -107,22 +108,28 @@ def _extend(stages, rows):
             prev = kept.get(key)
             if prev is not None and bound * prev[2] >= prev[1] * scale:
                 continue
-            if not fresh:  # the first change here copies the stage
-                kept = dict(kept)
+            if fresh is None:  # the first change here copies the stage
+                kept, fresh = dict(kept), {}
             kept[key] = fresh[key] = (coeffs, bound, scale)
-        if fresh:
-            lowers = [r for r in kept.values() if r[0][var] < 0]
-            uppers = [r for key, r in kept.items()
-                      if r[0][var] > 0 and key not in fresh]
+        if fresh is not None:
+            lowers = uppers = None  # each built once, when a row needs it
             for row in fresh.values():
                 # a new upper meets every lower, a new lower the old uppers
-                pairs = ((row, low) for low in lowers) if row[0][var] > 0 \
-                    else ((up, row) for up in uppers)
-                for (uc, ub, _), (lc, lb, _) in pairs:
-                    mu, ml = -lc[var], uc[var]
-                    down.append((tuple([mu * u + ml * lv
-                                        for u, lv in zip(uc, lc)]),
-                                 mu * ub + ml * lb))
+                if row[0][var] > 0:
+                    if lowers is None:
+                        lowers = [r for r in kept.values() if r[0][var] < 0]
+                    ups, lows = (row,), lowers
+                else:
+                    if uppers is None:
+                        uppers = [r for key, r in kept.items()
+                                  if r[0][var] > 0 and key not in fresh]
+                    ups, lows = uppers, (row,)
+                for uc, ub, _ in ups:
+                    for lc, lb, _ in lows:
+                        mu, ml = -lc[var], uc[var]
+                        down.append((tuple([mu * u + ml * lv
+                                            for u, lv in zip(uc, lc)]),
+                                     mu * ub + ml * lb))
         extended.append((var, kept))
         rows = down
     # every stage variable is gone, so each remaining row is variable-free
@@ -145,7 +152,8 @@ def _scaled_point(stages, dimension: int) -> tuple[list, int]:
     for var, kept in reversed(stages):
         p, q = _pick(var, kept.values(), nums, den)
         common = gcd(p, q)
-        p, q = p // common, q // common
+        if common > 1:
+            p, q = p // common, q // common
         if den % q:
             scale = q // gcd(den, q)
             nums = [x * scale for x in nums]
@@ -160,25 +168,22 @@ def _pick(var, rows, nums, den):
     nums / den.
 
     A row bounds x_var by (bound * den - coeffs . nums) / (c_var * den).
-    Each side keeps its tightest limit as (a, c), the value a / (c * den)
+    Each side keeps its tightest limit as two ints, the value a / (c * den)
     with c = |c_var| > 0, and limits are compared by cross-multiplying.
+    The start values (1, 0) and (-1, 0) stand for +inf and -inf: any row
+    is tighter, and c = 0 is left only on a side no row bounds.
     """
-    upper = lower = None
+    up, cu, low, cl = 1, 0, -1, 0
     for coeffs, bound, _ in rows:
         a, c = bound * den - sum(map(mul, coeffs, nums)), coeffs[var]
-        prev = upper if c > 0 else lower
-        # on either side, prev[0] * c > a * prev[1] exactly when a / c is
-        # tighter than prev
-        if prev is not None and prev[0] * c <= a * prev[1]:
-            continue
+        # a / c is tighter than the side's limit exactly when this holds
         if c > 0:
-            upper = (a, c)
-        else:
-            lower = (-a, -c)
-    if upper is None or lower is None or \
-            upper[0] * lower[1] <= lower[0] * upper[1]:
+            if up * c > a * cu:
+                up, cu = a, c
+        elif low * c > a * cl:
+            low, cl = -a, -c
+    if not cu or not cl or up * cl <= low * cu:
         raise InternalInvariantError(
             f"empty interval or a missing limit for x_{var} during "
             "back-substitution")
-    (u, cu), (low, cl) = upper, lower
-    return low * cu + u * cl, 2 * cl * cu * den
+    return low * cu + up * cl, 2 * cl * cu * den

@@ -284,6 +284,39 @@ def _memo_wall_masks(n: int, granularity: Granularity) -> tuple[int, ...]:
     return tuple(m for m in _masks(n) if low <= m.bit_count() < high)
 
 
+@lru_cache(maxsize=None)
+def _search_tables(genus: int, n: int, granularity: Granularity):
+    """What the chamber search of (genus, n, granularity) starts from: the
+    elimination of the (nonempty) domain, and per wall the (earlier wall,
+    sign) pairs that imply ABOVE, and its BELOW and ABOVE rows.  Arguments
+    are checked before, as for `_memo_wall_masks`.  Every search shares the
+    root stages, which `_extend` leaves as they are."""
+    masks = _memo_wall_masks(n, granularity)
+    # integer solver rows (coeffs, bound), each coeffs . a < bound, for the
+    # domain 0 < a_j < 1 and sum(a) > 2-2g; a_j < 1 stands for a_j <= 1,
+    # since every other row is strict and a_j = 1 bounds no open chamber
+    rows = [(tuple(-(i == j) for i in range(n)), 0) for j in range(n)]
+    rows += [(tuple(int(i == j) for i in range(n)), 1) for j in range(n)]
+    rows.append(((-1,) * n, 2 * genus - 2))
+    # Walls whose ABOVE sign follows from signs decided before them: a
+    # subset one smaller (all weights are positive), and in genus 0 the
+    # complement (the total exceeds 2).  Walls come by size, so both are
+    # decided earlier whenever they are walls.
+    index_of = {mask: i for i, mask in enumerate(masks)}
+    full = (1 << n) - 1
+    forcing = []
+    for i, mask in enumerate(masks):
+        pairs = [(index_of[mask ^ 1 << j], Position.ABOVE) for j in range(n)
+                 if mask >> j & 1 and mask ^ 1 << j in index_of]
+        if genus == 0 and index_of.get(full ^ mask, i) < i:
+            pairs.append((index_of[full ^ mask], Position.BELOW))
+        forcing.append(tuple(pairs))
+    # BELOW is sum_S a < 1, ABOVE is -sum_S a < -1
+    sides = tuple(tuple(((tuple(side * (mask >> j & 1) for j in range(n)),
+                          side),) for side in (1, -1)) for mask in masks)
+    return _extend(_stages(range(n)), rows), tuple(forcing), sides
+
+
 def _check_wall_args(genus, n, granularity) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
@@ -416,8 +449,8 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
     Results are cached as one JSON file per (genus, n, granularity) under
     `cache_dir` (or $WEIGHTSCAPE_CACHE).  A file is served only when it
     can be read and passes every check of `_cached_chambers`, and is
-    recomputed and overwritten otherwise; cache hits are byte-identical to
-    recomputation.
+    recomputed and overwritten otherwise; a write that fails is skipped.
+    Cache hits are byte-identical to recomputation.
     """
     _check_wall_args(genus, n, granularity)
     _check_limit(n, limit)
@@ -430,48 +463,24 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
             return cached
         # missing, unreadable or stale entry: recompute and overwrite
 
-    masks = _wall_masks(genus, n, granularity)
-    # integer solver rows (coeffs, bound), each coeffs . a < bound, for the
-    # domain 0 < a_j < 1 and sum(a) > 2-2g; a_j < 1 stands for a_j <= 1,
-    # since every other row is strict and a_j = 1 bounds no open chamber
-    rows = [(tuple(-(i == j) for i in range(n)), 0) for j in range(n)]
-    rows += [(tuple(int(i == j) for i in range(n)), 1) for j in range(n)]
-    rows.append(((-1,) * n, 2 * genus - 2))
-    # Walls whose ABOVE sign follows from signs decided before them: a
-    # subset one smaller (all weights are positive), and in genus 0 the
-    # complement (the total exceeds 2).  Walls come by size, so both are
-    # decided earlier whenever they are walls.
-    index_of = {mask: i for i, mask in enumerate(masks)}
-    full = (1 << n) - 1
-    forcing = []  # per wall: (earlier wall, sign) pairs that imply ABOVE
-    for i, mask in enumerate(masks):
-        pairs = [(index_of[mask ^ 1 << j], Position.ABOVE) for j in range(n)
-                 if mask >> j & 1 and mask ^ 1 << j in index_of]
-        if genus == 0 and index_of.get(full ^ mask, i) < i:
-            pairs.append((index_of[full ^ mask], Position.BELOW))
-        forcing.append(pairs)
-    # per wall, each side with its one-row extension: BELOW is sum_S a < 1,
-    # ABOVE is -sum_S a < -1; BELOW comes first, so ABOVE is popped first
-    sides = [[(position, [(tuple(side * (mask >> j & 1) for j in range(n)),
-                           side)])
-              for position, side in ((Position.BELOW, 1),
-                                     (Position.ABOVE, -1))]
-             for mask in masks]
+    root, forcing, sides = _search_tables(genus, n, granularity)
     chambers: list[Chamber] = []
     signs: list[Position] = []
 
     # Depth-first sign assignment on a stack of (wall index, stages, sign of
     # the previous wall).  `stages` holds the elimination of the domain rows
     # and the rows of the signs so far: each side extends it by one row, and
-    # a side whose extension is infeasible is cut; an implied sign adds none.
-    # A leaf back-substitutes once, which gives the point that elimination
-    # from scratch would pick, since that depends on the polyhedron only.
-    stack = [(0, _extend(_stages(range(n)), rows), None)]  # domain nonempty
+    # a side whose extension is infeasible is cut.  ABOVE adds no row when
+    # its sign is implied, or when BELOW is empty: the open polyhedron then
+    # lies above the wall already.  A leaf back-substitutes once, which gives
+    # the point that elimination from scratch would pick, since that depends
+    # on the polyhedron only.
+    stack = [(0, root, None)]
     while stack:
         index, stages, sign = stack.pop()
         if index:  # cut the signs back to this entry's depth
             signs[index - 1:] = [sign]
-        if index == len(masks):
+        if index == len(sides):
             vec = SignVector(genus, n, granularity, tuple(signs))
             nums, den = _scaled_point(stages, n)
             rep = WeightData(genus, tuple(Fraction(x, den) for x in nums))
@@ -480,25 +489,29 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
                     f"the point {rep.to_json_dict()} of the {granularity.value}"
                     f" chamber {vec.codes()} leaves the domain")
             chambers.append(Chamber(vec, rep))
-        elif any(signs[j] == implied for j, implied in forcing[index]):
+        elif any(signs[j] == implied for j, implied in forcing[index]) or \
+                (below := _extend(stages, sides[index][0])) is None:
             stack.append((index + 1, stages, Position.ABOVE))
-        else:
-            for position, added in sides[index]:
-                extended = _extend(stages, added)
-                if extended is not None:
-                    stack.append((index + 1, extended, position))
+        else:  # BELOW is pushed first, so ABOVE is popped first
+            stack.append((index + 1, below, Position.BELOW))
+            above = _extend(stages, sides[index][1])
+            if above is not None:
+                stack.append((index + 1, above, Position.ABOVE))
     result = tuple(chambers)
 
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
         # write a temp file private to this thread in the same directory,
         # then rename it over the entry: readers see the old file or the
-        # whole new one, never a part
+        # whole new one, never a part.  The cache only saves time, so a
+        # write that fails is skipped.
         tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
         try:
+            os.makedirs(cache_dir, exist_ok=True)
             with open(tmp, "w", encoding="ascii") as fh:
                 fh.write(chambers_json(genus, n, granularity, result))
             os.replace(tmp, path)
+        except OSError:
+            pass
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -401,6 +401,98 @@ def fraction_solve(dimension, rows, want_point):
     return True, tuple(values)
 
 
+def reference_extend(stages, rows):
+    """`ratcore._extend` as it stood before its per-row steps were cut:
+    `stages` with `rows` added, or None when a variable-free row is
+    violated.  A stage is (var, kept), each row of kept stored as (coeffs,
+    bound, scale) with coeffs == scale * its direction and divided by the
+    gcd of its entries."""
+    from math import gcd
+    extended = []
+    for var, kept in stages:
+        fresh = {}
+        down = []
+        for row in rows:
+            coeffs, bound = row
+            if not coeffs[var]:
+                if any(coeffs):
+                    down.append(row)
+                elif bound <= 0:
+                    return None
+                continue
+            scale = gcd(*coeffs)
+            common = gcd(scale, bound)
+            if common > 1:
+                coeffs = tuple([c // common for c in coeffs])
+                bound //= common
+                scale //= common
+            key = coeffs if scale == 1 else tuple([c // scale for c in coeffs])
+            prev = kept.get(key)
+            if prev is not None and bound * prev[2] >= prev[1] * scale:
+                continue
+            if not fresh:  # the first change here copies the stage
+                kept = dict(kept)
+            kept[key] = fresh[key] = (coeffs, bound, scale)
+        if fresh:
+            lowers = [r for r in kept.values() if r[0][var] < 0]
+            uppers = [r for key, r in kept.items()
+                      if r[0][var] > 0 and key not in fresh]
+            for row in fresh.values():
+                # a new upper meets every lower, a new lower the old uppers
+                pairs = ((row, low) for low in lowers) if row[0][var] > 0 \
+                    else ((up, row) for up in uppers)
+                for (uc, ub, _), (lc, lb, _) in pairs:
+                    mu, ml = -lc[var], uc[var]
+                    down.append((tuple([mu * u + ml * lv
+                                        for u, lv in zip(uc, lc)]),
+                                 mu * ub + ml * lb))
+        extended.append((var, kept))
+        rows = down
+    for _, bound in rows:
+        if bound <= 0:
+            return None
+    return tuple(extended)
+
+
+def reference_pick(var, rows, nums, den):
+    """`ratcore._pick` as it stood before its limits became int pairs:
+    the midpoint (p, q) of x_var's open interval, each limit a tuple."""
+    from operator import mul
+    upper = lower = None
+    for coeffs, bound, _ in rows:
+        a, c = bound * den - sum(map(mul, coeffs, nums)), coeffs[var]
+        prev = upper if c > 0 else lower
+        if prev is not None and prev[0] * c <= a * prev[1]:
+            continue
+        if c > 0:
+            upper = (a, c)
+        else:
+            lower = (-a, -c)
+    if upper is None or lower is None or \
+            upper[0] * lower[1] <= lower[0] * upper[1]:
+        raise InternalInvariantError(
+            f"empty interval or a missing limit for x_{var} during "
+            "back-substitution")
+    (u, cu), (low, cl) = upper, lower
+    return low * cu + u * cl, 2 * cl * cu * den
+
+
+def reference_scaled_point(stages, dimension):
+    """`ratcore._scaled_point` as it stood, on `reference_pick`."""
+    from math import gcd
+    nums, den = [0] * dimension, 1
+    for var, kept in reversed(stages):
+        p, q = reference_pick(var, kept.values(), nums, den)
+        common = gcd(p, q)
+        p, q = p // common, q // common
+        if den % q:
+            scale = q // gcd(den, q)
+            nums = [x * scale for x in nums]
+            den *= scale
+        nums[var] = p * (den // q)
+    return nums, den
+
+
 def unpruned_chambers(genus, n, granularity):
     """(sign codes, representative) of every open chamber: a depth-first
     search that adds a row for every wall and solves every branch with the

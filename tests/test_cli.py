@@ -317,14 +317,25 @@ def test_readme_lists_every_subcommand():
     assert re.findall(r"`([^`]+)`", paragraph) == list(action.choices)
 
 
-def test_unknown_subcommand():
+def test_unknown_subcommand(capsys):
     code, _, err = invoke(["no-such-command"])
     assert code == 1
+    assert err.startswith("usage: weightscape ")
+    assert "\nerror: argument command: invalid choice: 'no-such-command'" \
+        in err
+    assert capsys.readouterr() == ("", "")
 
 
-def test_missing_flag_is_usage_error():
+def test_missing_flag_is_usage_error(capsys):
+    # the usage line goes to the `err` stream given to `run`, before the
+    # message, and nothing to the process's own streams
     code, _, err = invoke(["locate"])
     assert code == 1
+    assert err.startswith("usage: weightscape locate ")
+    assert err.endswith("\nerror: the following arguments are required: "
+                        "--weights\n")
+    assert err.count("usage:") == err.count("error:") == 1
+    assert capsys.readouterr() == ("", "")
 
 
 def test_boundary_counts():
@@ -406,6 +417,17 @@ def test_chambers_unreadable_cache_entry(tmp_path, monkeypatch, error):
     refuse_cache_read(monkeypatch, path, error)
     assert invoke(argv + ["--cache-dir", str(tmp_path)]) == cold
     assert cold[0] == 0 and path.read_text() == cold[1]
+
+
+def test_chambers_unwritable_cache_dir(tmp_path):
+    # a cache directory under a regular file cannot be made: the write is
+    # skipped and the chambers are printed as without a cache
+    argv = ["chambers", "--genus", "0", "--n", "4", "--json"]
+    (tmp_path / "file").write_text("")
+    cache = str(tmp_path / "file" / "sub")
+    no_cache = invoke(argv)
+    assert no_cache[0] == 0
+    assert invoke(argv + ["--cache-dir", cache]) == no_cache
 
 
 def test_chambers_limit_exit_code():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from weightscape.errors import DomainError, InternalInvariantError
 from weightscape.ratcore import _extend, _scaled_point, _stages, rat, rat_str
 
-from conftest import fraction_solve
+from conftest import (fraction_solve, reference_extend,
+                      reference_scaled_point)
 
 F = Fraction
 
@@ -318,3 +319,33 @@ def test_point_matches_fraction_back_substitution(drawn, data):
         if stages is None:
             break
         assert engine_point(stages, dim) == _fraction_point(stages, dim)
+
+
+def _layout(stages):
+    """Each stage's variable and its rows in insertion order."""
+    return None if stages is None else \
+        [(var, list(kept.items())) for var, kept in stages]
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sequences(), st.data())
+def test_kernel_matches_reference_kernel(drawn, data):
+    # the box rows in one batch, then the drawn rows in drawn batches, most
+    # of them one row, in a drawn elimination order: after every call the
+    # stages hold the reference's rows in the reference's order, and the
+    # back-substitution picks the reference's point
+    dim, rows = drawn
+    order = data.draw(st.permutations(range(dim)))
+    ours = _extend(_stages(order), box(dim))
+    theirs = reference_extend(_stages(order), box(dim))
+    done = 0
+    while True:
+        assert _layout(ours) == _layout(theirs)
+        if ours is None:
+            break
+        assert _scaled_point(ours, dim) == reference_scaled_point(theirs, dim)
+        if done == len(rows):
+            break
+        batch = rows[done:done + data.draw(st.sampled_from([1, 1, 1, 2, 3]))]
+        ours, theirs = _extend(ours, batch), reference_extend(theirs, batch)
+        done += len(batch)

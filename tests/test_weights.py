@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from fractions import Fraction
 from itertools import combinations
 
@@ -379,9 +380,11 @@ class TestEnumerateChambers:
         def broken(payload):
             raise OSError("disk full")
 
+        cold = ws.enumerate_chambers(0, 4, FINE)
         monkeypatch.setattr(jsonio, "canonical_dumps", broken)
-        with pytest.raises(OSError):
-            ws.enumerate_chambers(0, 4, FINE, cache_dir=str(tmp_path))
+        # the write is skipped: the result comes back, the entry stays
+        assert ws.enumerate_chambers(0, 4, FINE,
+                                     cache_dir=str(tmp_path)) == cold
         assert path.read_text() == "{not json"
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -509,6 +512,27 @@ def test_short_representative_recomputed(tmp_path):
     assert path.read_text() == text
 
 
+@pytest.mark.parametrize("fault", ["directory", "rename"])
+def test_failed_cache_write_is_skipped(tmp_path, monkeypatch, fault):
+    # the cache only saves time: a directory that cannot be made, or a
+    # temp file that cannot be renamed into place, leaves the result as it
+    # is and no file behind
+    cold = ws.enumerate_chambers(0, 4, FINE)
+    if fault == "directory":
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "sub"
+    else:
+        cache = tmp_path
+
+        def refuse(*args):
+            raise PermissionError("cannot rename")
+
+        monkeypatch.setattr(os, "replace", refuse)
+    assert ws.enumerate_chambers(0, 4, FINE, cache_dir=str(cache)) == cold
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        (["file"] if fault == "directory" else [])
+
+
 @pytest.mark.parametrize("granularity", [FINE, COARSE])
 @pytest.mark.parametrize("genus, n", [(g, n) for g in range(3)
                                       for n in range(3 if g == 0 else 1, 6)])
@@ -522,6 +546,7 @@ def test_cache_hit_is_served(tmp_path, monkeypatch, genus, n, granularity):
         raise AssertionError("a cache hit ran the chamber search")
 
     monkeypatch.setattr(weights, "_extend", no_search)
+    monkeypatch.setattr(weights, "_search_tables", no_search)
     hit = ws.enumerate_chambers(genus, n, granularity, cache_dir=str(tmp_path))
     assert hit == cold
     assert chambers_json(genus, n, granularity, hit) == \
@@ -552,6 +577,38 @@ def test_fine_chambers_golden_bytes(genus, n):
     text = chambers_json(genus, n, FINE, ws.enumerate_chambers(genus, n, FINE))
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert digest == GOLDEN_FINE_CHAMBERS[(genus, n)]
+
+
+@pytest.mark.parametrize("genus, n, one_row_calls", [(0, 4, 52), (1, 4, 111)])
+def test_empty_below_side_adds_no_row(monkeypatch, genus, n, one_row_calls):
+    # a wall whose BELOW side is empty gets ABOVE without an extension,
+    # which keeps the output bytes
+    from weightscape import weights
+    calls, extend = [], weights._extend
+
+    def counted(stages, rows):
+        calls.append(len(rows))
+        return extend(stages, rows)
+
+    monkeypatch.setattr(weights, "_extend", counted)
+    text = chambers_json(genus, n, FINE, ws.enumerate_chambers(genus, n, FINE))
+    assert calls.count(1) == one_row_calls
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+        GOLDEN_FINE_CHAMBERS[(genus, n)]
+
+
+@pytest.mark.parametrize("genus, n", [(0, 4), (1, 4)])
+def test_search_tables_shared_and_unchanged(genus, n):
+    # every search of a wall set starts from one memoised root elimination,
+    # which no search changes
+    from weightscape import weights
+    root = weights._search_tables(genus, n, FINE)[0]
+    snapshot = [(var, list(kept.items())) for var, kept in root]
+    first = ws.enumerate_chambers(genus, n, FINE)
+    second = ws.enumerate_chambers(genus, n, FINE)
+    assert first == second
+    assert weights._search_tables(genus, n, FINE)[0] is root
+    assert [(var, list(kept.items())) for var, kept in root] == snapshot
 
 
 @pytest.mark.parametrize("genus, n", [(0, 4), (1, 4), (2, 4)])
