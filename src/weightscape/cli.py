@@ -170,8 +170,8 @@ def _reduce(a, curves) -> dict:
 
 def _sstypes(a, git) -> dict:
     lin = _lin_arg(a.linearization, git)
-    types = git.strictly_semistable_types(lin)
-    return {"typical": git.is_typical(lin), "count": len(types),
+    types = git.strictly_semistable_types(lin)  # typical iff there is none
+    return {"typical": not types, "count": len(types),
             "types": [sorted(s) for s in types]}
 
 

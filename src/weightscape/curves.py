@@ -401,7 +401,12 @@ def _contract(tree: MarkedTree, nums: Mapping[int, int],
     node; they are popped when an end of the edge is contracted, so a chain
     merges into one class whatever the order.  Classes of the input tree
     carry no edge (the serialized format has none) and stay on their
-    vertex."""
+    vertex.  A breach names the input tree and the target weights."""
+    def breach(error: type, what: str) -> Exception:
+        weights = {m: str(Fraction(x, den)) for m, x in nums.items()}
+        return error(f"{what}; input tree {tree.to_json_dict()}, "
+                     f"target weights {weights}")
+
     vertices = {v.id: (v.genus, [(kept, c.node_supported) for c in v.classes
                                  if (kept := c.markings.intersection(nums))])
                 for v in tree.vertices}
@@ -433,26 +438,28 @@ def _contract(tree: MarkedTree, nums: Mapping[int, int],
             # component's markings (all weight zero here) and whatever
             # already sat on either node.
             if genus != 0:
-                raise InternalInvariantError(
-                    "contracting a positive-genus vertex")
+                raise breach(InternalInvariantError,
+                             "contracting a positive-genus vertex")
             if any(nums[m] > 0 for m in moved):
-                raise InternalInvariantError(
-                    "type II contraction moving positive weight")
+                raise breach(InternalInvariantError,
+                             "type II contraction moving positive weight")
             edges[incident[0]] = tuple(sorted(ends))
             if moved:
                 at_node[incident[0]] = moved
         else:
-            raise InternalInvariantError(f"vertex {vid} has valence "
-                                         f"{valence[vid]} and nonpositive degree")
+            raise breach(InternalInvariantError, f"vertex {vid} has valence "
+                         f"{valence[vid]} and nonpositive degree")
     else:
-        raise NonterminatingContraction("contraction loop failed to terminate")
+        raise breach(NonterminatingContraction,
+                     "contraction loop failed to terminate")
     for k, marks in at_node.items():
         vertices[edges[k][0]][1].append((marks, True))
     result = marked_tree(
         [(vid, genus, [MarkClass(frozenset(c), ns) for c, ns in classes])
          for vid, (genus, classes) in vertices.items()], edges.values())
     if not _stability(result, nums, den):
-        raise InternalInvariantError("contraction did not reach stability")
+        raise breach(InternalInvariantError,
+                     "contraction did not reach stability")
     return result
 
 
@@ -702,7 +709,9 @@ def contracted_divisors(a: WeightData, b: WeightData) -> tuple[DivisorFate, ...]
             fates.append(fate)
             continue
         if not (above_i or above_j):
-            raise InternalInvariantError("both sides dropped to sum <= 1")
+            raise InternalInvariantError(
+                f"both sides dropped to sum <= 1, reducing {a.to_json_dict()}"
+                f" to {b.to_json_dict()}")
         side_mask, other_mask = (complement, mask) if above_i else \
             (mask, complement)
         side, other = _marks(side_mask), _marks(other_mask)
@@ -791,10 +800,10 @@ def symmetrized_boundary_count(data: WeightData,
     data = _valid(data, Mode.STRICT)
     block_list = [tuple(sorted({_integer(i, "block entry") for i in blk}))
                   for blk in blocks]
-    block_list.sort(key=lambda blk: blk[0] if blk else 0)
-    flattened = [i for blk in block_list for i in blk]
-    if sorted(flattened) != list(range(1, data.n + 1)):
+    flattened = sorted(i for blk in block_list for i in blk)
+    if not all(block_list) or flattened != list(range(1, data.n + 1)):
         raise DomainError("blocks must partition the marking indices")
+    block_list.sort()  # nonempty and disjoint: by least marking
     nums = data.scaled[0]
     for blk in block_list:
         if len({nums[i] for i in blk}) > 1:

@@ -381,7 +381,8 @@ def chambers_payload(genus: int, n: int, granularity: Granularity,
 def _cached_chambers(path: str, genus: int, n: int,
                      granularity: Granularity) -> Optional[tuple[Chamber, ...]]:
     """The chambers stored in a cache file, or None when it is missing,
-    cannot be read or fails a check.  The header and wall list must match;
+    cannot be read or fails a check.  The header must be the one
+    `chambers_payload` writes, with no other key;
     each representative must be a list of n canonical `rat_str` weights
     inside the domain whose own sign string, free of ON, is the stored one;
     the sign strings must increase strictly, as the search emits them.
@@ -390,11 +391,9 @@ def _cached_chambers(path: str, genus: int, n: int,
         with open(path, "r", encoding="ascii") as fh:
             payload = json.loads(fh.read())
         entries = payload["chambers"]
-        if [payload["genus"], payload["n"], payload["granularity"],
-                payload["walls"], payload["count"]] != \
-                [genus, n, granularity.value,
-                 [sorted(w.subset) for w in walls(genus, n, granularity)],
-                 len(entries)]:
+        if {**payload, "chambers": []} != {
+                **chambers_payload(genus, n, granularity, ()),
+                "count": len(entries)}:  # the writer's header, key for key
             return None
         parsed: dict[str, tuple[Fraction, int, int]] = {}
         out, last = [], None
@@ -465,23 +464,21 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
 
     root, forcing, sides = _search_tables(genus, n, granularity)
     chambers: list[Chamber] = []
-    signs: list[Position] = []
 
-    # Depth-first sign assignment on a stack of (wall index, stages, sign of
-    # the previous wall).  `stages` holds the elimination of the domain rows
+    # Depth-first sign assignment on a stack of (signs of the earlier walls,
+    # stages).  `stages` holds the elimination of the domain rows
     # and the rows of the signs so far: each side extends it by one row, and
     # a side whose extension is infeasible is cut.  ABOVE adds no row when
     # its sign is implied, or when BELOW is empty: the open polyhedron then
     # lies above the wall already.  A leaf back-substitutes once, which gives
     # the point that elimination from scratch would pick, since that depends
     # on the polyhedron only.
-    stack = [(0, root, None)]
+    stack = [((), root)]
     while stack:
-        index, stages, sign = stack.pop()
-        if index:  # cut the signs back to this entry's depth
-            signs[index - 1:] = [sign]
+        signs, stages = stack.pop()
+        index = len(signs)
         if index == len(sides):
-            vec = SignVector(genus, n, granularity, tuple(signs))
+            vec = SignVector(genus, n, granularity, signs)
             nums, den = _scaled_point(stages, n)
             rep = WeightData(genus, tuple(Fraction(x, den) for x in nums))
             if not _in_domain(genus, nums, den):
@@ -491,12 +488,12 @@ def enumerate_chambers(genus: int, n: int, granularity: Granularity, *,
             chambers.append(Chamber(vec, rep))
         elif any(signs[j] == implied for j, implied in forcing[index]) or \
                 (below := _extend(stages, sides[index][0])) is None:
-            stack.append((index + 1, stages, Position.ABOVE))
+            stack.append((signs + (Position.ABOVE,), stages))
         else:  # BELOW is pushed first, so ABOVE is popped first
-            stack.append((index + 1, below, Position.BELOW))
+            stack.append((signs + (Position.BELOW,), below))
             above = _extend(stages, sides[index][1])
             if above is not None:
-                stack.append((index + 1, above, Position.ABOVE))
+                stack.append((signs + (Position.ABOVE,), above))
     result = tuple(chambers)
 
     if cache_dir:

@@ -729,7 +729,7 @@ CACHE_TAMPERS = ("weight 2", "zero weight", "degree zero", "on a wall",
                  "other signs", "short signs", "padded weight",
                  "unreduced weight", "integer weight", "zero denominator",
                  "string representative", "duplicate", "header", "list",
-                 "null", "entry x", "reordered")
+                 "null", "entry x", "reordered", "extra key")
 
 
 # The contraction loop `curves._contract` replaced, kept verbatim as the
@@ -935,6 +935,8 @@ def tamper_chamber_cache(payload, kind):
         chambers[0] = "x"
     elif kind == "reordered":  # each entry as written, out of sign order
         chambers[0], chambers[1] = chambers[1], first
+    elif kind == "extra key":  # a top-level key the writer never writes
+        payload["note"] = "hand edit"
     else:
         raise ValueError(kind)
     return payload

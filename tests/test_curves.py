@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 import weightscape as ws
 from weightscape import curves
 from weightscape.curves import DegreeCase, DivisorKind, DivisorStatus
-from weightscape.errors import (DomainError, LimitExceeded, NotAStable,
-                                ResidualDegreeNotPositive,
+from weightscape.errors import (DomainError, InternalInvariantError,
+                                LimitExceeded, NonterminatingContraction,
+                                NotAStable, ResidualDegreeNotPositive,
                                 UnequalWeightsInBlock, WeightsNotDominated)
 from weightscape.named import FamilyKind
 from weightscape.weights import Mode
@@ -564,6 +565,58 @@ def _new_node_classes(tree, payload):
     return [frozenset(c) for v in payload["vertices"]
             for c, ns in zip(v["classes"], v["node_supported"])
             if ns and frozenset(c) not in before]
+
+
+def _chain(genus):
+    """Vertex 1, of the given genus and holding marking 1, between two
+    leaves."""
+    return ws.marked_tree([(1, genus, [[1]]), (2, 0, [[2], [3]]),
+                           (3, 0, [[4], [5]])], [(1, 2), (1, 3)])
+
+
+# (tree, genus, patches, error, message) of each breach in
+# `curves._contract`, forced through `stabilize` with `is_stable` patched to
+# pass the input: `_log_degree` patched to 0 makes every vertex contract,
+# an empty `range` leaves the loop without a break
+CONTRACT_BREACHES = {
+    "positive-genus": (_chain(1), 1, {"_log_degree": lambda *args: 0},
+                       InternalInvariantError, "positive-genus vertex"),
+    "type-two-weight": (_chain(0), 0, {"_log_degree": lambda *args: 0},
+                        InternalInvariantError, "moving positive weight"),
+    "valence": (one_vertex(5), 0, {"_log_degree": lambda *args: 0},
+                InternalInvariantError, "vertex 1 has valence 0"),
+    "nonterminating": (one_vertex(5), 0, {"range": lambda stop: ()},
+                       NonterminatingContraction, "failed to terminate"),
+    "not-stable": (one_vertex(5), 0, {"_stability": lambda *args: False},
+                   InternalInvariantError, "did not reach stability"),
+}
+
+
+@pytest.mark.parametrize("tree, genus, patches, error, message",
+                         CONTRACT_BREACHES.values(),
+                         ids=CONTRACT_BREACHES.keys())
+def test_contract_breach_names_the_input(monkeypatch, tree, genus, patches,
+                                         error, message):
+    # an invariant breach carries the tree and the weights that reproduce it
+    data = ws.validate(genus, [1] * 5)
+    monkeypatch.setattr(curves, "is_stable", lambda *args: True)
+    for name, patch in patches.items():
+        monkeypatch.setattr(curves, name, patch, raising=False)
+    with pytest.raises(error, match=message) as info:
+        ws.stabilize(tree, data, data)
+    assert str(tree.to_json_dict()) in str(info.value)
+    assert str({m: "1" for m in range(1, 6)}) in str(info.value)
+
+
+def test_divisor_breach_names_the_input(monkeypatch):
+    # a target whose total is at most 2 drops both sides of a nodal divisor
+    a, b = ws.validate(0, [1] * 5), ws.WeightData(0, (F(1, 10),) * 5)
+    monkeypatch.setattr(curves, "_reduction_pair", lambda a, b, mode: (a, b))
+    with pytest.raises(InternalInvariantError,
+                       match="both sides dropped") as info:
+        ws.contracted_divisors(a, b)
+    assert str(a.to_json_dict()) in str(info.value)
+    assert str(b.to_json_dict()) in str(info.value)
 
 
 def test_contract_matches_graph_oracle(monkeypatch):

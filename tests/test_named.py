@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -88,12 +89,19 @@ class TestBlowupSequence:
         assert summary == [("X(2)", "X(1)", 10), ("X(1)", "X(0)", 5)]
 
     def test_x_chain_counts_are_binomials(self):
+        # closed form: X(k) -> X(k-1) contracts exactly the divisors whose
+        # side through marking n is C + {n}, C a k-subset of 1..n-1
         from math import comb
-        for n in (5, 6, 7):
+        for n in range(5, 11):
             steps = ws.blowup_sequence(FamilyKind.KAPRANOV_X, n)
+            assert [s.source.k for s in steps] == list(range(n - 4, 0, -1))
             for step in steps:
                 k = step.source.k
                 assert step.exceptional_count == comb(n - 1, k)
+                sides = [f.divisor.members if n in f.divisor.members
+                         else f.divisor.complement for f in step.exceptional]
+                assert sorted(map(sorted, sides)) == \
+                    [list(c) + [n] for c in combinations(range(1, n), k)]
 
     def test_x_chain_contractions_disjoint_and_compose(self):
         # each step contracts something new; their union is exactly the

@@ -125,6 +125,10 @@ INPUT_ERRORS = {
     "symmetrized-blocks-no-partition": (
         lambda: ws.symmetrized_boundary_count(_unit(5), [[1, 2], [3]]),
         ws.DomainError, "must partition the marking indices"),
+    "symmetrized-blocks-empty-block": (
+        lambda: ws.symmetrized_boundary_count(_unit(5),
+                                              [[1, 2, 3, 4, 5], []]),
+        ws.DomainError, "must partition the marking indices"),
     "forget-keep-out-of-range": (
         lambda: ws.forget(_root(5), _unit(5), [1, 9]), ws.DomainError,
         "nonempty subset of the marking indices"),
@@ -142,6 +146,8 @@ INPUT_ERRORS = {
                         "needs n >= 3"),
     "parse-tag-bad-index": (lambda: ws.parse_tag("X(a)", 6), ws.DomainError,
                             "cannot parse family tag"),
+    "parse-tag-not-a-string": (lambda: ws.parse_tag(5, 6), ws.DomainError,
+                               "a family tag must be a string, got 5"),
     "keel-ledger-n-4": (lambda: ws.keel_ledger(4, "1/2", "1/2"),
                         ws.DomainError, "needs n >= 5"),
     "keel-ledger-negative-alpha": (
